@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .errors import (
     AllTied,
@@ -31,12 +31,12 @@ from .errors import (
     InvalidArgument,
     LengthMismatch,
     OutOfRange,
-    QuadratureFailure,
     SolverFailure,
     UndefinedThreshold,
 )
 from .protocol import EnergyCurve
-from .quadrature import adaptive_gauss_legendre
+# not called here; perfbench/tracing.py traces this binding
+from .quadrature import adaptive_gauss_legendre  # noqa: F401
 
 CONSTRAINT_GRID_SIZE = 64
 CONSTRAINT_TOL = 1e-9
@@ -298,42 +298,81 @@ def energy_from_sigmoid(model: SigmoidCapacityModel, n: float) -> float:
     """u_inf plus the capacity tail integral from N to infinity.
 
     Substituting u = 1/k turns the integral into
-    int_0^{1/N} a/(1+e^b u^c) du, evaluated by adaptive quadrature in
-    log space at absolute tolerance 1e-10.
+    int_0^{1/N} a/(1+e^b u^c) du, which ``_sigmoid_tail`` evaluates in
+    closed form.
     """
     n = float(n)
     if n < 1:
         raise InvalidArgument(f"N must be >= 1, got {n}")
-    return model.u_inf + _sigmoid_tail(model.a, model.b, model.c, n)
+    return model.u_inf + float(_sigmoid_tail(model.a, model.b, model.c, n))
 
 
-def _sigmoid_tail(a: float, b: float, c: float, n: float,
-                  abs_tol: float = 1e-10) -> float:
-    """int_0^{1/N} a / (1 + e^b u^c) du, accurate to ``abs_tol``.
+# 2F1(1, beta; 1+beta; -z) is summed through Pfaff's transformation up to
+# z = 2 and through its expansion in 1/z beyond, whose terms then shrink by
+# a factor of at least 2: 56 terms leave less than 2**-56 of the sum.
+_LOG_Z_SPLIT = math.log(2.0)
+_INVERSE_TERMS = 56
 
-    Integrated in s = log(u), where the logistic transition sits at
-    s = -b/c with width 1/c; in u-space that transition can be
-    exponentially close to 0 and starve the adaptive quadrature.  The
-    lower limit is truncated where the remaining mass (bounded by
-    a*e^s, since the logistic factor is at most 1) drops below half the
-    tolerance budget.
+
+def _sigmoid_tail(a: float, b: float, c: float, n):
+    """int_0^{1/N} a / (1 + e^b u^c) du for each N >= 1 in ``n``.
+
+    With u = t/N the integral is (a/N) int_0^1 dt / (1 + z t^c), where
+    z = e^b N^-c, and that is (a/N) 2F1(1, 1/c; 1+1/c; -z).  It is
+    evaluated from log z, so it stays finite where e^b or N^-c would
+    overflow; c = 0 leaves a constant integrand.
     """
-    if a == 0.0:
-        return 0.0
-    half_tol = 0.5 * abs_tol
-    s_hi = -math.log(n)
-    s_lo = math.log(half_tol) - math.log(abs(a))
-    if s_lo >= s_hi:
-        # the whole integral is below a*e^{s_hi} = a/N <= half_tol
-        return 0.0
+    n = np.asarray(n, dtype=np.float64)
+    if c == 0.0:
+        return a / n * special.expit(-b)
+    return a / n * _hyp2f1_tail(b - c * np.log(n), 1.0 / c)
 
-    def integrand(s):
-        x = b + c * s
-        t = np.exp(-np.abs(x))
-        logistic = np.where(x > 0.0, t / (1.0 + t), 1.0 / (1.0 + t))
-        return a * np.exp(s) * logistic
 
-    return adaptive_gauss_legendre(integrand, s_lo, s_hi, abs_tol=half_tol)
+def _hyp2f1_tail(log_z, beta: float) -> np.ndarray:
+    """2F1(1, beta; 1+beta; -z) at z = e^log_z, for beta > 0.
+
+    For z <= 2 the Pfaff form 2F1(1, 1; 1+beta; z/(1+z)) / (1+z) keeps
+    scipy's argument at or below 2/3.  For z > 2 the 1/z connection
+    formula (DLMF 15.8.2) gives
+
+        pi beta z^-beta / sin(pi beta)
+            + beta sum_{j>=1} (-1)^j z^-j / (j - beta),
+
+    whose first term has a pole at each integer beta that the j = m term,
+    m = round(beta), cancels; that pair is summed in a form with a finite
+    limit as beta - m goes to 0.
+    """
+    log_z = np.asarray(log_z, dtype=np.float64)
+    out = np.empty(log_z.shape)
+    low = log_z <= _LOG_Z_SPLIT
+    x = log_z[low]
+    out[low] = (special.hyp2f1(1.0, 1.0, 1.0 + beta, special.expit(x))
+                * special.expit(-x))
+    x = log_z[~low]
+    j = np.arange(1.0, _INVERSE_TERMS + 1.0)
+    m = float(np.round(beta))
+    eps = beta - m
+    # the j = m term is summed with the pole below, so its slot holds 0
+    coef = beta * (1.0 - 2.0 * (j % 2.0)) / np.where(j == m, np.inf, j - beta)
+    series = np.exp(-np.outer(x, j)) @ coef
+    if m == 0.0:
+        lead = np.exp(-beta * x) * (np.pi * beta / np.sin(np.pi * beta))
+    else:
+        # (z^-beta - z^-m) / eps, bounded for either sign of eps
+        gap = -x * np.exp(-min(m, beta) * x) * special.exprel(-abs(eps) * x)
+        sign = 1.0 - 2.0 * (m % 2.0)
+        lead = sign * beta * (gap + np.exp(-beta * x) * _pi_csc_minus_inverse(eps))
+    out[~low] = lead + series
+    return out
+
+
+def _pi_csc_minus_inverse(eps: float) -> float:
+    """pi / sin(pi eps) - 1/eps for |eps| <= 1/2, by its series near 0."""
+    if abs(eps) < 1e-3:
+        p2, e2 = math.pi ** 2, eps * eps
+        return eps * p2 * (1.0 / 6.0 + e2 * p2 * (7.0 / 360.0
+                                                  + e2 * p2 * 31.0 / 15120.0))
+    return math.pi / math.sin(math.pi * eps) - 1.0 / eps
 
 
 def _default_starts(curve: EnergyCurve):
@@ -368,9 +407,8 @@ def _lm_single_start(n, y, sigma, theta0, max_iter=500):
 
     def predict(theta):
         alpha, b, gamma, u_inf = theta
-        a, c = np.exp(alpha), np.exp(gamma)
-        tails = np.array([_sigmoid_tail(1.0, b, c, nn) for nn in n])
-        return u_inf + a * tails, tails
+        tails = _sigmoid_tail(1.0, b, np.exp(gamma), n)
+        return u_inf + np.exp(alpha) * tails, tails
 
     def jacobian(theta, tails):
         alpha, b, gamma, u_inf = theta
@@ -379,20 +417,17 @@ def _lm_single_start(n, y, sigma, theta0, max_iter=500):
         J[:, 0] = a * tails  # d/d alpha = a * d/d a
         J[:, 3] = 1.0
         hb = 1e-6 * max(1.0, abs(b))
-        tb_hi = np.array([_sigmoid_tail(a, b + hb, c, nn) for nn in n])
-        tb_lo = np.array([_sigmoid_tail(a, b - hb, c, nn) for nn in n])
+        tb_hi = _sigmoid_tail(a, b + hb, c, n)
+        tb_lo = _sigmoid_tail(a, b - hb, c, n)
         J[:, 1] = (tb_hi - tb_lo) / (2 * hb)
         hg = 1e-6
-        tg_hi = np.array([_sigmoid_tail(a, b, np.exp(gamma + hg), nn) for nn in n])
-        tg_lo = np.array([_sigmoid_tail(a, b, np.exp(gamma - hg), nn) for nn in n])
+        tg_hi = _sigmoid_tail(a, b, np.exp(gamma + hg), n)
+        tg_lo = _sigmoid_tail(a, b, np.exp(gamma - hg), n)
         J[:, 2] = (tg_hi - tg_lo) / (2 * hg)
         return J
 
     theta = np.asarray(theta0, dtype=np.float64)
-    try:
-        pred, tails = predict(theta)
-    except QuadratureFailure:
-        return None
+    pred, tails = predict(theta)
     resid = (y - pred) / sigma
     cost = float(resid @ resid)
     if not np.isfinite(cost):
@@ -415,12 +450,9 @@ def _lm_single_start(n, y, sigma, theta0, max_iter=500):
             # keep exp() parameters in a sane range
             trial[0] = np.clip(trial[0], -50.0, 50.0)
             trial[2] = np.clip(trial[2], -50.0, 50.0)
-            try:
-                pred_t, tails_t = predict(trial)
-                resid_t = (y - pred_t) / sigma
-                cost_t = float(resid_t @ resid_t)
-            except QuadratureFailure:
-                cost_t = np.inf
+            pred_t, tails_t = predict(trial)
+            resid_t = (y - pred_t) / sigma
+            cost_t = float(resid_t @ resid_t)
             if np.isfinite(cost_t) and cost_t <= cost:
                 rel = (cost - cost_t) / max(cost, 1e-300)
                 theta, pred, tails, resid = trial, pred_t, tails_t, resid_t
@@ -445,7 +477,9 @@ def fit_sigmoid_capacity(curve: EnergyCurve, init=None) -> SigmoidCapacityModel:
     ladder, converging on relative cost change < 1e-10 (500 iteration cap).
     Without an explicit ``init``, 8 deterministic starts are tried and the
     lowest cost wins (ties break toward the earlier start).  Positivity of
-    a and c is kept by optimizing their logarithms.
+    a and c is kept by optimizing their logarithms.  The model energy, its
+    finite-difference Jacobian and the final residual are evaluated over
+    the whole N grid at once from the closed-form tail (``_sigmoid_tail``).
 
     Raises:
         DegenerateCurve: fewer than 5 points.
@@ -468,10 +502,7 @@ def fit_sigmoid_capacity(curve: EnergyCurve, init=None) -> SigmoidCapacityModel:
     best = None
     for idx, (a0, b0, c0, u0) in enumerate(starts):
         theta0 = (np.log(a0), b0, np.log(c0), u0)
-        try:
-            out = _lm_single_start(n, y, sigma, theta0)
-        except QuadratureFailure:
-            continue
+        out = _lm_single_start(n, y, sigma, theta0)
         if out is None:
             continue
         theta, cost, J = out
@@ -489,7 +520,7 @@ def fit_sigmoid_capacity(curve: EnergyCurve, init=None) -> SigmoidCapacityModel:
         cov_int = np.linalg.pinv(H) * (cost / dof)
     T = np.diag([a, 1.0, c, 1.0])
     cov = T @ cov_int @ T.T
-    pred = np.array([u_inf + _sigmoid_tail(a, b, c, nn) for nn in n])
+    pred = u_inf + _sigmoid_tail(a, b, c, n)
     rms = float(np.sqrt(np.mean((y - pred) ** 2)))
     return SigmoidCapacityModel(a=float(a), b=float(b), c=float(c),
                                 u_inf=float(u_inf), covariance=cov,
@@ -603,5 +634,5 @@ def capacity_loss_regression(points):
         p_value = 0.0 if slope != 0.0 else 1.0
     else:
         t_stat = slope / se
-        p_value = float(2.0 * stats.t.sf(abs(t_stat), dof))
+        p_value = float(2.0 * special.stdtr(dof, -abs(t_stat)))
     return slope, intercept, p_value

@@ -2,14 +2,20 @@
 
 Ground-truth energies for the sigmoid recovery tests are produced with
 scipy's QUADPACK integrator so the reference values do not share code with
-the package's own quadrature.
+the package's closed-form tail.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
+
+import capmeter.estimators
 
 from capmeter.errors import (
     AllTied,
@@ -33,6 +39,7 @@ from capmeter.estimators import (
     fit_sigmoid_capacity,
     freezing_threshold,
     kendall_tau,
+    _sigmoid_tail,
 )
 from capmeter.protocol import EnergyCurve
 
@@ -50,6 +57,21 @@ def truth_energy(a, b, c, u_inf, n):
                             0.0, 1.0 / n, epsabs=1e-13, epsrel=1e-13,
                             limit=200)
     return u_inf + val
+
+
+def tail_by_quad(a, b, c, n):
+    """int_0^{1/N} a/(1+e^b u^c) du by QUADPACK in s = log u.
+
+    The mass below s = -40 is at most a*e^-40 and is left out; the
+    logistic step at s = -b/c is passed as a breakpoint.
+    """
+    lo, hi = -40.0, -math.log(n)
+    step = -b / c
+    points = [step] if lo < step < hi else None
+    val, _ = integrate.quad(lambda s: a * math.exp(s) * special.expit(-(b + c * s)),
+                            lo, hi, points=points, epsabs=1e-14, epsrel=1e-13,
+                            limit=400)
+    return val
 
 
 def plain_model(a, b, c, u_inf):
@@ -221,6 +243,95 @@ class TestEnergyFromSigmoid:
             energy_from_sigmoid(plain_model(1.0, 0.0, 1.0, 0.0), 0.5)
 
 
+class TestSigmoidTailClosedForm:
+    """The closed-form tail against QUADPACK, within the 1e-10 budget."""
+
+    A = 10.0
+
+    def assert_matches_quad(self, b, c, ns):
+        got = _sigmoid_tail(self.A, b, c, np.asarray(ns, dtype=np.float64))
+        for nn, value in zip(ns, got):
+            assert np.isfinite(value), (b, c, nn)
+            assert value == pytest.approx(tail_by_quad(self.A, b, c, nn),
+                                          abs=1e-10), (b, c, nn)
+
+    def test_seeded_log_uniform_grid(self):
+        rng = np.random.default_rng(20231)
+        for _ in range(300):
+            c = math.exp(rng.uniform(math.log(1e-4), math.log(60.0)))
+            b = rng.uniform(-20.0, 150.0)
+            nn = math.exp(rng.uniform(0.0, math.log(1e5)))
+            self.assert_matches_quad(b, c, [nn])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_reciprocal_integer_slope_at_large_offset(self, k):
+        self.assert_matches_quad(120.0, 1.0 / k, [1.0, 10.0, 1e3, 1e5])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("shift", [-1e-9, 1e-9])
+    def test_near_integer_inverse_slope(self, k, shift):
+        for b in (3.0, 30.0, 120.0):
+            self.assert_matches_quad(b, 1.0 / (k + shift), [1.0, 10.0, 1e3, 1e5])
+
+    @pytest.mark.parametrize("c, log_z", [(3.9e-4, 12.0), (4e-4, 4.0)])
+    def test_tiny_slope_with_large_z(self, c, log_z):
+        ns = [20.0, 300.0, 5000.0]
+        for nn in ns:
+            self.assert_matches_quad(log_z + c * math.log(nn), c, [nn])
+
+    def test_vectorised_over_n(self):
+        ns = np.geomspace(1.0, 1e5, 17)
+        whole = _sigmoid_tail(self.A, 8.0, 1.5, ns)
+        one_by_one = [float(_sigmoid_tail(self.A, 8.0, 1.5, nn)) for nn in ns]
+        assert whole.tolist() == one_by_one
+
+    def test_zero_slope_is_a_constant_integrand(self):
+        ns = np.array([1.0, 30.0, 1e4])
+        expected = self.A / ns / (1.0 + math.exp(2.0))
+        assert np.allclose(_sigmoid_tail(self.A, 2.0, 0.0, ns), expected,
+                           rtol=1e-15, atol=0.0)
+
+    def test_finite_at_the_fit_parameter_limits(self):
+        ns = np.array([1.0, 20.0, 5000.0, 1e5])
+        for c in (math.exp(-50.0), math.exp(50.0)):
+            for b in (-1e4, -20.0, 0.0, 0.7, 150.0, 1e4):
+                tail = _sigmoid_tail(1.0, b, c, ns)
+                assert np.all(np.isfinite(tail)), (b, c)
+                assert np.all((tail >= 0.0) & (tail <= 1.0 / ns * (1 + 1e-12)))
+
+    def test_fit_makes_no_quadrature_call(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the sigmoid fit called adaptive quadrature")
+
+        monkeypatch.setattr(capmeter.estimators, "adaptive_gauss_legendre",
+                            forbidden)
+        n = np.geomspace(20, 5000, 12)
+        u = [truth_energy(10.0, 5.3, 1.0, 0.05, nn) for nn in n]
+        model = fit_sigmoid_capacity(make_curve(n.round().astype(np.int64), u))
+        assert model.a == pytest.approx(10.0, rel=0.01)
+        energy_from_sigmoid(model, 100.0)
+
+
+class TestSteepSigmoidFit:
+    # c = 45 puts the whole capacity transition inside a factor of about
+    # 1.2 in N around n* = 300
+    A, C, N_STAR, U_INF = 10.0, 45.0, 300.0, 0.05
+
+    def test_threshold_recovered_and_residual_matches_quadpack(self):
+        b = self.C * math.log(self.N_STAR)
+        n = np.geomspace(60, 1000, 10).round().astype(np.int64)
+        u = self.U_INF + np.array([tail_by_quad(self.A, b, self.C, nn) for nn in n])
+        sigma = 0.003 * u
+        y = u + np.random.default_rng(0).normal(0.0, sigma)
+        model = fit_sigmoid_capacity(make_curve(n, y, sigma))
+        n_star, _ = freezing_threshold(model)
+        assert n_star == pytest.approx(self.N_STAR, rel=0.15)
+        pred = np.array([model.u_inf + tail_by_quad(model.a, model.b, model.c, nn)
+                         for nn in n])
+        rms = math.sqrt(float(np.mean((y - pred) ** 2)))
+        assert model.residual_rms == pytest.approx(rms, rel=1e-9)
+
+
 class TestFreezingThreshold:
     def test_midpoint_value(self):
         model = plain_model(5.0, 20.0, 3.0, 0.0)
@@ -294,6 +405,27 @@ class TestCapacityLossRegression:
         assert slope == pytest.approx(ref.slope)
         assert intercept == pytest.approx(ref.intercept)
         assert p == pytest.approx(ref.pvalue, rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_p_value_equals_linregress(self, seed):
+        rng = np.random.default_rng(seed)
+        size = 3 + 4 * seed
+        cap = rng.normal(size=size)
+        loss = 0.5 * cap + rng.normal(0, 0.5, size)
+        _, _, p = capacity_loss_regression(list(zip(cap, loss)))
+        assert p == pytest.approx(stats.linregress(cap, loss).pvalue, rel=1e-10)
+
+    def test_cli_import_leaves_scipy_stats_unloaded(self):
+        src = str(Path(capmeter.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys, capmeter.cli; "
+                "print('scipy.stats' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, env=env,
+                             timeout=120)
+        assert out.stdout.strip() == "False"
 
     def test_degenerate_design(self):
         with pytest.raises(DegenerateDesign):
