@@ -7,7 +7,7 @@ Submodules:
     learners    synthetic data and small reference learners
     estimators  capacity extraction from energy curves
     sgld        Langevin posterior sampling and the incremental protocol
-    kernels     numba-accelerated hot loops with numpy fallbacks
+    kernels     numpy training and Langevin kernels
     cli         command-line front end
 """
 

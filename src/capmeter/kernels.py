@@ -1,44 +1,15 @@
-"""Hot numeric loops with numba acceleration and pure-numpy fallbacks.
+"""Hot numeric loops, one vectorized numpy implementation each.
 
-Each kernel exists twice: a ``*_numba`` variant compiled with ``@njit``
-and a ``*_numpy`` variant written with vectorized numpy.  The module-level
-names (``logistic_gd``, ``mlp_sgd``, ``sgld_chain_diag_quad``) point at the
-selected variant.  Selection: numba is used when it imports cleanly and the
-environment variable ``CAPMETER_NUMBA`` is not set to ``0``/``false``/``off``.
-
-The quadratic sampler chain is elementwise, so both variants produce
-bitwise-identical trajectories.  The training kernels accumulate sums in
-different orders, so they agree only to rounding.
+``logistic_gd`` and ``mlp_sgd`` train the logistic and MLP learners;
+``sgld_chain_diag_quad`` runs the fused Langevin chain for diagonal
+quadratic energies.  Callers reach them through this module's attributes
+(``kernels.logistic_gd(...)``), so a wrapper bound here sees every call.
 """
-
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        # Fallback decorator: returns the function unchanged.
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-def _env_wants_numba() -> bool:
-    flag = os.environ.get("CAPMETER_NUMBA", "1").strip().lower()
-    return flag not in ("0", "false", "off", "no")
-
-
-NUMBA_ENABLED = NUMBA_AVAILABLE and _env_wants_numba()
+# perfbench/run.py's machine_facts reads this flag and exits 1 without it.
+NUMBA_ENABLED = False
 
 
 # ---------------------------------------------------------------------------
@@ -48,64 +19,7 @@ NUMBA_ENABLED = NUMBA_AVAILABLE and _env_wants_numba()
 # Returns (W, last_loss, iterations_run, bad_iteration).  bad_iteration >= 0
 # means the loss went non-finite there and training stopped.
 
-@njit(cache=True, nogil=True)
-def logistic_gd_numba(Xb, y, n_classes, l2, lr, epochs, grad_tol):
-    n, d1 = Xb.shape
-    kk = n_classes - 1
-    W = np.zeros((kk, d1))
-    G = np.empty((kk, d1))
-    logits = np.empty(kk)
-    loss = 0.0
-    it = 0
-    for epoch in range(epochs):
-        for a in range(kk):
-            for b in range(d1):
-                G[a, b] = 0.0
-        data_loss = 0.0
-        for i in range(n):
-            mx = 0.0
-            for a in range(kk):
-                z = 0.0
-                for b in range(d1):
-                    z += W[a, b] * Xb[i, b]
-                logits[a] = z
-                if z > mx:
-                    mx = z
-            s = np.exp(-mx)
-            for a in range(kk):
-                s += np.exp(logits[a] - mx)
-            zy = 0.0 if y[i] == 0 else logits[y[i] - 1]
-            data_loss += np.log(s) + mx - zy
-            for a in range(kk):
-                p = np.exp(logits[a] - mx) / s
-                if y[i] == a + 1:
-                    p -= 1.0
-                for b in range(d1):
-                    G[a, b] += p * Xb[i, b]
-        pen = 0.0
-        for a in range(kk):
-            for b in range(d1):
-                G[a, b] = G[a, b] / n + l2 * W[a, b]
-                pen += W[a, b] * W[a, b]
-        loss = data_loss / n + 0.5 * l2 * pen
-        if not np.isfinite(loss):
-            return W, loss, it, epoch
-        gmax = 0.0
-        for a in range(kk):
-            for b in range(d1):
-                ga = abs(G[a, b])
-                if ga > gmax:
-                    gmax = ga
-        it = epoch + 1
-        if gmax < grad_tol:
-            break
-        for a in range(kk):
-            for b in range(d1):
-                W[a, b] -= lr * G[a, b]
-    return W, loss, it, -1
-
-
-def logistic_gd_numpy(Xb, y, n_classes, l2, lr, epochs, grad_tol):
+def logistic_gd(Xb, y, n_classes, l2, lr, epochs, grad_tol):
     n, d1 = Xb.shape
     kk = n_classes - 1
     W = np.zeros((kk, d1))
@@ -139,97 +53,7 @@ def logistic_gd_numpy(Xb, y, n_classes, l2, lr, epochs, grad_tol):
 # Parameters are updated in place.  perms holds one row permutation per
 # epoch.  Returns (last_epoch_loss, bad_epoch).
 
-@njit(cache=True, nogil=True)
-def mlp_sgd_numba(X, y, W1, b1, W2, b2, perms, lr_max, momentum, batch):
-    n, d = X.shape
-    h = W1.shape[1]
-    m = W2.shape[1]
-    epochs = perms.shape[0]
-    nb = (n + batch - 1) // batch
-    total = epochs * nb
-    vW1 = np.zeros((d, h))
-    vb1 = np.zeros(h)
-    vW2 = np.zeros((h, m))
-    vb2 = np.zeros(m)
-    hid = np.empty((batch, h))
-    logits = np.empty((batch, m))
-    dlog = np.empty((batch, m))
-    dhid = np.empty((batch, h))
-    epoch_loss = 0.0
-    step = 0
-    for epoch in range(epochs):
-        epoch_loss = 0.0
-        for bi in range(nb):
-            lo = bi * batch
-            hi = min(lo + batch, n)
-            bs = hi - lo
-            lr = lr_max * 0.5 * (1.0 + np.cos(np.pi * step / total))
-            for r in range(bs):
-                i = perms[epoch, lo + r]
-                for a in range(h):
-                    z = b1[a]
-                    for b in range(d):
-                        z += X[i, b] * W1[b, a]
-                    hid[r, a] = z if z > 0.0 else 0.0
-                mx = -1e300
-                for c in range(m):
-                    z = b2[c]
-                    for a in range(h):
-                        z += hid[r, a] * W2[a, c]
-                    logits[r, c] = z
-                    if z > mx:
-                        mx = z
-                s = 0.0
-                for c in range(m):
-                    s += np.exp(logits[r, c] - mx)
-                epoch_loss += np.log(s) + mx - logits[r, y[i]]
-                for c in range(m):
-                    p = np.exp(logits[r, c] - mx) / s
-                    if y[i] == c:
-                        p -= 1.0
-                    dlog[r, c] = p / bs
-            # gradients
-            for a in range(h):
-                for r in range(bs):
-                    zz = 0.0
-                    for c in range(m):
-                        zz += dlog[r, c] * W2[a, c]
-                    dhid[r, a] = zz if hid[r, a] > 0.0 else 0.0
-            for a in range(h):
-                for c in range(m):
-                    g = 0.0
-                    for r in range(bs):
-                        g += hid[r, a] * dlog[r, c]
-                    vW2[a, c] = momentum * vW2[a, c] + g
-                    W2[a, c] -= lr * (g + momentum * vW2[a, c])
-            for c in range(m):
-                g = 0.0
-                for r in range(bs):
-                    g += dlog[r, c]
-                vb2[c] = momentum * vb2[c] + g
-                b2[c] -= lr * (g + momentum * vb2[c])
-            for b in range(d):
-                for a in range(h):
-                    g = 0.0
-                    for r in range(bs):
-                        i = perms[epoch, lo + r]
-                        g += X[i, b] * dhid[r, a]
-                    vW1[b, a] = momentum * vW1[b, a] + g
-                    W1[b, a] -= lr * (g + momentum * vW1[b, a])
-            for a in range(h):
-                g = 0.0
-                for r in range(bs):
-                    g += dhid[r, a]
-                vb1[a] = momentum * vb1[a] + g
-                b1[a] -= lr * (g + momentum * vb1[a])
-            step += 1
-        epoch_loss /= n
-        if not np.isfinite(epoch_loss):
-            return epoch_loss, epoch
-    return epoch_loss, -1
-
-
-def mlp_sgd_numpy(X, y, W1, b1, W2, b2, perms, lr_max, momentum, batch):
+def mlp_sgd(X, y, W1, b1, W2, b2, perms, lr_max, momentum, batch):
     n = X.shape[0]
     epochs = perms.shape[0]
     nb = (n + batch - 1) // batch
@@ -284,27 +108,10 @@ def mlp_sgd_numpy(X, y, W1, b1, W2, b2, perms, lr_max, momentum, batch):
 # Langevin chain for a diagonal quadratic energy
 # ---------------------------------------------------------------------------
 # One step per row of `noise`; the last out.shape[0] states are recorded.
-# Elementwise arithmetic, ordered identically in both variants, so the
-# trajectories match bitwise.
+# The input state is not written to; the final state is returned.
 
-@njit(cache=True, nogil=True)
-def sgld_chain_diag_quad_numba(w, lam, prior_eps, n_nominal, half_step, sqrt_step,
-                               noise, out):
-    steps = noise.shape[0]
-    p = w.shape[0]
-    keep_from = steps - out.shape[0]
-    for t in range(steps):
-        for j in range(p):
-            g = n_nominal * (lam[j] * w[j]) + prior_eps * w[j]
-            w[j] = w[j] - half_step * g + sqrt_step * noise[t, j]
-        if t >= keep_from:
-            for j in range(p):
-                out[t - keep_from, j] = w[j]
-    return w
-
-
-def sgld_chain_diag_quad_numpy(w, lam, prior_eps, n_nominal, half_step, sqrt_step,
-                               noise, out):
+def sgld_chain_diag_quad(w, lam, prior_eps, n_nominal, half_step, sqrt_step,
+                         noise, out):
     steps = noise.shape[0]
     keep_from = steps - out.shape[0]
     for t in range(steps):
@@ -313,35 +120,3 @@ def sgld_chain_diag_quad_numpy(w, lam, prior_eps, n_nominal, half_step, sqrt_ste
         if t >= keep_from:
             out[t - keep_from] = w
     return w
-
-
-# ---------------------------------------------------------------------------
-# selection and warm-up
-# ---------------------------------------------------------------------------
-
-if NUMBA_ENABLED:
-    logistic_gd = logistic_gd_numba
-    mlp_sgd = mlp_sgd_numba
-    sgld_chain_diag_quad = sgld_chain_diag_quad_numba
-else:
-    logistic_gd = logistic_gd_numpy
-    mlp_sgd = mlp_sgd_numpy
-    sgld_chain_diag_quad = sgld_chain_diag_quad_numpy
-
-
-def warmup_jit():
-    """Trigger compilation of the jitted kernels on tiny inputs."""
-    if not NUMBA_ENABLED:
-        return
-    X = np.zeros((4, 2))
-    Xb = np.zeros((4, 3))
-    y = np.array([0, 1, 0, 1], dtype=np.int64)
-    logistic_gd_numba(Xb, y, 2, 0.0, 0.1, 2, 0.0)
-    W1 = np.zeros((2, 3))
-    b1 = np.zeros(3)
-    W2 = np.zeros((3, 2))
-    b2 = np.zeros(2)
-    perms = np.tile(np.arange(4, dtype=np.int64), (2, 1))
-    mlp_sgd_numba(X, y, W1, b1, W2, b2, perms, 0.1, 0.9, 2)
-    sgld_chain_diag_quad_numba(np.zeros(2), np.ones(2), 1.0, 1, 0.001, 0.05,
-                               np.zeros((3, 2)), np.empty((2, 2)))

@@ -6,9 +6,8 @@ The synthetic generator draws Gaussian inputs with geometrically decaying
 per-coordinate variances and labels them with a fixed random one-hidden-layer
 teacher, so harder (faster-decaying) feature spectra are a one-knob dial.
 
-Training for the logistic and MLP learners runs through the kernels module,
-which provides accelerated and plain array implementations with identical
-semantics.
+Training for the logistic and MLP learners runs through the numpy kernels
+in the kernels module.
 """
 
 from dataclasses import dataclass
@@ -329,8 +328,8 @@ class LogisticLearner:
             raise EmptyTrainingSet("logistic regression needs training rows")
         if not dataset.is_classification:
             raise InvalidArgument("logistic learner requires class labels")
-        xb = np.ascontiguousarray(_with_bias(dataset.inputs[rows]))
-        y = np.ascontiguousarray(dataset.labels[rows])
+        xb = _with_bias(dataset.inputs[rows])
+        y = dataset.labels[rows]
         w, loss, iters, bad = kernels.logistic_gd(
             xb, y, dataset.m_classes, self.l2, self.lr, self.epochs,
             self.GRAD_TOL)
@@ -421,8 +420,8 @@ class MlpLearner:
             raise EmptyTrainingSet("MLP needs training rows")
         if not dataset.is_classification:
             raise InvalidArgument("MLP learner requires class labels")
-        x = np.ascontiguousarray(dataset.inputs[rows])
-        y = np.ascontiguousarray(dataset.labels[rows])
+        x = dataset.inputs[rows]
+        y = dataset.labels[rows]
         w1, b1, w2, b2 = mlp_init(dataset.feature_dim, self.hidden,
                                   dataset.m_classes, seed)
         rng = np.random.default_rng(seed + 1)

@@ -25,15 +25,8 @@ def module_versions() -> str:
     """Space-separated name=version pairs for the numeric stack."""
     import scipy
 
-    parts = [f"capmeter={__version__}", f"numpy={np.__version__}",
-             f"scipy={scipy.__version__}"]
-    try:
-        import numba
-
-        parts.append(f"numba={numba.__version__}")
-    except ImportError:
-        parts.append("numba=absent")
-    return " ".join(parts)
+    return (f"capmeter={__version__} numpy={np.__version__} "
+            f"scipy={scipy.__version__}")
 
 
 def sha256_file(path) -> str:

@@ -410,11 +410,11 @@ def _window_quadratic(energy, w, rows, sample_size, config, noise_rng):
     noise = noise_rng.standard_normal((steps, w.size))
     samples = np.empty((m, w.size))
     w = kernels.sgld_chain_diag_quad(
-        w.copy(), energy.eigenvalues, eps_eff, float(sample_size),
+        w, energy.eigenvalues, eps_eff, float(sample_size),
         0.5 * config.step_size, math.sqrt(config.step_size), noise, samples)
     if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(w))):
         raise NonFiniteState("langevin update produced a non-finite state")
-    return np.asarray(w, dtype=np.float64), samples
+    return w, samples
 
 
 def run_incremental_protocol(energy: DifferentiableEnergy, dataset,
