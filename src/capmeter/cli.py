@@ -631,7 +631,9 @@ def build_parser() -> ArgumentParser:
     run.add_argument("--seeds", type=int, default=5)
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--jobs", type=int, default=None,
-                     help="worker threads (default: CAPMETER_JOBS or 1)")
+                     help="accepted and checked (>= 1) but changes nothing: "
+                          "each sample size's fits run as one batch in one "
+                          "thread (default: CAPMETER_JOBS or 1)")
     run.add_argument("--l2", type=float, default=0.0)
     run.add_argument("--epochs", type=int, default=None)
     run.add_argument("--lr", type=float, default=None)

@@ -70,7 +70,15 @@ class InvariantViolation(CapmeterError):
 # ---------------------------------------------------------------------------
 
 class TrainingFailure(CapmeterError):
-    """A model could not be trained on the given rows."""
+    """A model could not be trained on the given rows.
+
+    ``job`` is the protocol job whose fit failed, when the model was one of
+    a group trained together (see ``protocol.run_protocol``), else None.
+    """
+
+    def __init__(self, *args, job=None):
+        super().__init__(*args)
+        self.job = job
 
 
 class EmptyTrainingSet(TrainingFailure):
@@ -80,9 +88,10 @@ class EmptyTrainingSet(TrainingFailure):
 class NonFiniteLoss(TrainingFailure):
     """Training loss became NaN/inf.  Carries the iteration index."""
 
-    def __init__(self, iteration: int, message: str = ""):
+    def __init__(self, iteration: int, message: str = "", job=None):
         self.iteration = iteration
-        super().__init__(message or f"non-finite training loss at iteration {iteration}")
+        super().__init__(message or f"non-finite training loss at iteration {iteration}",
+                         job=job)
 
 
 class MixedTypes(CapmeterError):

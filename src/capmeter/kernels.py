@@ -1,7 +1,8 @@
 """Hot numeric loops, one vectorized numpy implementation each.
 
-``logistic_gd`` and ``mlp_sgd`` train the logistic and MLP learners;
-``sgld_chain_diag_quad`` runs the fused Langevin chain for diagonal
+``logistic_gd_stack`` trains a stack of logistic fits at once
+(``logistic_gd`` is its one-job case) and ``mlp_sgd`` trains the MLP
+learner; ``sgld_chain_diag_quad`` runs fused Langevin chains for diagonal
 quadratic energies.  Callers reach them through this module's attributes
 (``kernels.logistic_gd(...)``), so a wrapper bound here sees every call.
 """
@@ -20,30 +21,54 @@ NUMBA_ENABLED = False
 # means the loss went non-finite there and training stopped.
 
 def logistic_gd(Xb, y, n_classes, l2, lr, epochs, grad_tol):
-    n, d1 = Xb.shape
+    W, loss, it, bad = logistic_gd_stack(Xb[None], y[None], np.array([Xb.shape[0]]),
+                                         n_classes, l2, lr, epochs, grad_tol)
+    return W[0], float(loss[0]), int(it[0]), int(bad[0])
+
+
+# The same descent for a stack of jobs at once: Xb is (jobs, n_max, d+1) and
+# y is (jobs, n_max); job k trains on its first n_rows[k] rows, and the rows
+# after them must be zero (their gradient terms then vanish).  Each job stops
+# on its own, at grad_tol or at a non-finite loss, exactly as logistic_gd
+# would; the results are per-job arrays of logistic_gd's four values.
+
+def logistic_gd_stack(Xb, y, n_rows, n_classes, l2, lr, epochs, grad_tol):
+    jobs, n, d1 = Xb.shape
     kk = n_classes - 1
-    W = np.zeros((kk, d1))
-    onehot = np.zeros((n, kk))
+    W = np.zeros((jobs, kk, d1))
+    real = np.arange(n) < n_rows[:, None]
+    count = n_rows.astype(np.float64)
+    onehot = np.zeros((jobs, n, kk))
     pos = y > 0
-    onehot[np.nonzero(pos)[0], y[pos] - 1] = 1.0
-    loss = 0.0
-    it = 0
+    onehot[np.nonzero(pos) + (y[pos] - 1,)] = 1.0
+    # flat position of each row's own-class logit in Z
+    label = np.arange(jobs * n) * kk + np.maximum(y - 1, 0).ravel()
+    loss = np.zeros(jobs)
+    it = np.zeros(jobs, dtype=np.int64)
+    bad = np.full(jobs, -1, dtype=np.int64)
+    active = np.ones(jobs, dtype=bool)
     for epoch in range(epochs):
-        Z = Xb @ W.T
-        mx = np.maximum(Z.max(axis=1), 0.0)
-        E = np.exp(Z - mx[:, None])
-        S = np.exp(-mx) + E.sum(axis=1)
-        zy = np.where(pos, np.take_along_axis(Z, np.maximum(y - 1, 0)[:, None], 1)[:, 0], 0.0)
-        loss = float(np.mean(np.log(S) + mx - zy)) + 0.5 * l2 * float(np.sum(W * W))
-        if not np.isfinite(loss):
-            return W, loss, it, epoch
-        P = E / S[:, None]
-        G = (P - onehot).T @ Xb / n + l2 * W
-        it = epoch + 1
-        if np.max(np.abs(G)) < grad_tol:
+        Z = Xb @ W.transpose(0, 2, 1)
+        mx = np.maximum(Z.max(axis=2), 0.0)
+        E = np.exp(Z - mx[..., None])
+        S = np.exp(-mx) + E.sum(axis=2)
+        zy = np.where(pos, Z.take(label).reshape(jobs, n), 0.0)
+        terms = (np.log(S) + mx - zy) * real
+        step_loss = terms.sum(axis=1) / count + 0.5 * l2 * np.sum(W * W, axis=(1, 2))
+        loss = np.where(active, step_loss, loss)
+        finite = np.isfinite(step_loss)
+        bad[active & ~finite] = epoch
+        active &= finite
+        if not active.any():
             break
-        W -= lr * G
-    return W, loss, it, -1
+        P = E / S[..., None]
+        G = (P - onehot).transpose(0, 2, 1) @ Xb / count[:, None, None] + l2 * W
+        it[active] = epoch + 1
+        active &= ~(np.abs(G).max(axis=(1, 2)) < grad_tol)
+        np.subtract(W, lr * G, out=W, where=active[:, None, None])
+        if not active.any():
+            break
+    return W, loss, it, bad
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +133,9 @@ def mlp_sgd(X, y, W1, b1, W2, b2, perms, lr_max, momentum, batch):
 # Langevin chain for a diagonal quadratic energy
 # ---------------------------------------------------------------------------
 # One step per row of `noise`; the last out.shape[0] states are recorded.
-# The input state is not written to; the final state is returned.
+# The input state is not written to; the final state is returned.  w may
+# stack several chains, (chains, dim), with noise (steps, chains, dim): the
+# update is elementwise, so each chain's trajectory is that of its own call.
 
 def sgld_chain_diag_quad(w, lam, prior_eps, n_nominal, half_step, sqrt_step,
                          noise, out):

@@ -337,6 +337,38 @@ class LogisticLearner:
             raise NonFiniteLoss(bad, f"loss became non-finite at iteration {bad}")
         return LogisticModel(w, dataset.m_classes, iters)
 
+    def fit_many(self, dataset: Dataset, jobs) -> list:
+        """One model per job, as ``fit`` trains it, from one stacked descent.
+
+        The jobs' training sets may differ in size: each is padded to the
+        longest with zero rows, which add nothing to its gradient.  A
+        training failure is raised for the first job, in order, that fails,
+        with the message ``fit`` gives it and that job as its ``job``.
+        """
+        if not dataset.is_classification:
+            raise InvalidArgument("logistic learner requires class labels")
+        sizes = np.array([job.train_rows.size for job in jobs])
+        for job, size in zip(jobs, sizes):
+            if size == 0:
+                raise EmptyTrainingSet("logistic regression needs training rows",
+                                       job=job)
+        rows = np.zeros((len(jobs), sizes.max()), dtype=np.int64)
+        real = np.arange(rows.shape[1]) < sizes[:, None]
+        rows[real] = np.concatenate([job.train_rows for job in jobs])
+        xb = _with_bias(dataset.inputs)[rows]
+        xb[~real] = 0.0
+        y = np.where(real, dataset.labels[rows], 0)
+        w, _, iters, bad = kernels.logistic_gd_stack(
+            xb, y, sizes, dataset.m_classes, self.l2, self.lr, self.epochs,
+            self.GRAD_TOL)
+        for job, b in zip(jobs, bad):
+            if b >= 0:
+                b = int(b)
+                raise NonFiniteLoss(b, f"loss became non-finite at iteration {b}",
+                                    job=job)
+        return [LogisticModel(w[k], dataset.m_classes, int(iters[k]))
+                for k in range(len(jobs))]
+
 
 def logistic_learner(l2: float = 0.0, epochs: int = 2000,
                      lr: float = 1.0) -> LogisticLearner:

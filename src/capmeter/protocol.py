@@ -8,14 +8,19 @@ model contributes one record: the summed held-out negative log-likelihood
 over its fold and the fold size.  Records aggregate into an
 :class:`EnergyCurve` with one point per N.
 
+Jobs are trained one sample size at a time, in plan order.  A learner
+with ``fit_many`` trains all of one N's jobs in a single call (the logistic
+learner stacks them into one batched gradient descent); any other learner
+is called once per job.
+
 Per-example NLL values are clamped to [0, 50] before summing so a single
 degenerate prediction cannot dominate a record; clamp events are counted
 and reported.  All randomness derives from the config's master seed, so
 the whole pipeline is a pure function of (dataset, config).
 """
 
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -214,18 +219,44 @@ def clamped_nll_terms(raw_nll: np.ndarray) -> tuple:
     return clamped, events
 
 
-def evaluate_job(dataset, learner, job: Job, dataset_id: str) -> tuple:
-    """Train one model and measure it on its heldout fold.
-
-    Returns (EnergyRecord, clamp_events).
-    """
-    model = learner.fit(dataset, job.train_rows, job.seed)
+def _measure(dataset, model, job: Job, dataset_id: str) -> tuple:
+    """Score a trained model on its job's heldout fold."""
     raw = model.nll_terms(dataset, job.heldout_rows)
     terms, events = clamped_nll_terms(raw)
     record = EnergyRecord(dataset_id, job.sample_size, job.boot_index,
                           job.fold_index, job.seed_index,
                           float(np.sum(terms)), int(job.heldout_rows.size))
     return record, events
+
+
+def evaluate_job(dataset, learner, job: Job, dataset_id: str) -> tuple:
+    """Train one model and measure it on its heldout fold.
+
+    Returns (EnergyRecord, clamp_events).
+    """
+    return _measure(dataset, learner.fit(dataset, job.train_rows, job.seed),
+                    job, dataset_id)
+
+
+def _evaluate_group(dataset, learner, jobs, dataset_id: str) -> list:
+    """(EnergyRecord, clamp_events) for jobs of one sample size, in order.
+
+    A learner with ``fit_many`` trains the whole group in one call; any
+    other learner is trained and measured one job at a time.  A training
+    failure names its job in ``job``.
+    """
+    fit_many = getattr(learner, "fit_many", None)
+    if fit_many is not None:
+        return [_measure(dataset, model, job, dataset_id)
+                for job, model in zip(jobs, fit_many(dataset, jobs))]
+    results = []
+    for job in jobs:
+        try:
+            results.append(evaluate_job(dataset, learner, job, dataset_id))
+        except TrainingFailure as exc:
+            exc.job = job
+            raise
+    return results
 
 
 @dataclass(frozen=True)
@@ -238,16 +269,15 @@ def run_protocol(dataset, learner, config: ProtocolConfig,
                  dataset_id: str = "data", workers: int = 1) -> RunResult:
     """Plan, train, and collect records for the whole grid.
 
-    Jobs are independent; ``workers`` > 1 runs them on a thread pool.
-    Output order and content do not depend on the worker count.
+    The jobs of each sample size are trained together (see the module
+    docstring); records come out in plan order.  ``workers`` is accepted
+    for compatibility and changes nothing: everything runs in the calling
+    thread.
     """
     jobs = plan_experiment(config, dataset.n_rows)
-    if workers <= 1:
-        results = [evaluate_job(dataset, learner, job, dataset_id) for job in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(
-                lambda job: evaluate_job(dataset, learner, job, dataset_id), jobs))
+    results = []
+    for _, group in groupby(jobs, key=lambda job: job.sample_size):
+        results.extend(_evaluate_group(dataset, learner, list(group), dataset_id))
     records = [rec for rec, _ in results]
     clamps = sum(ev for _, ev in results)
     return RunResult(records, clamps)
@@ -311,24 +341,24 @@ def estimate_avg_energy(records, expected_n=None, scale: str = "nll") -> EnergyC
 def loocv_avg_energy(learner, dataset, seed: int = 0) -> float:
     """Leave-one-out estimate of the average energy.
 
-    Trains one model per row on the other N-1 rows and averages the
-    clamped held-out NLL of the left-out row.  Cost is N trainings, so
-    keep N small (<= 200 or so).
+    Trains one model per row on the other N-1 rows, as one group of
+    equal-size jobs, and averages the clamped held-out NLL of the left-out
+    row.  Cost is N trainings, so keep N small (<= 200 or so).
     """
     n = dataset.n_rows
     if n < 2:
         raise InvalidArgument("leave-one-out needs at least 2 rows")
     all_rows = np.arange(n)
+    jobs = [Job(n, 0, i, 0, seed, np.delete(all_rows, i), np.array([i]))
+            for i in range(n)]
+    try:
+        results = _evaluate_group(dataset, learner, jobs, "loocv")
+    except TrainingFailure as exc:
+        raise TrainingFailure(
+            f"leave-one-out fit failed at row {exc.job.fold_index}: {exc}") from exc
     total = 0.0
-    for i in range(n):
-        rows = np.delete(all_rows, i)
-        try:
-            model = learner.fit(dataset, rows, seed)
-        except TrainingFailure as exc:
-            raise TrainingFailure(f"leave-one-out fit failed at row {i}: {exc}") from exc
-        raw = model.nll_terms(dataset, np.array([i]))
-        terms, _ = clamped_nll_terms(raw)
-        total += float(terms[0])
+    for record, _ in results:
+        total += record.nll_sum
     return total / n
 
 

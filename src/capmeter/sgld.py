@@ -397,23 +397,26 @@ def _window_generic(energy, w, rows, sample_size, config, noise_rng, shuffle_rng
     return w, samples
 
 
-def _window_quadratic(energy, w, rows, sample_size, config, noise_rng):
-    """Single-batch quadratic windows run through the fused kernel.
+def _window_quadratic(energy, w, sample_size, config, noise_rngs):
+    """Single-batch quadratic windows of several chains through the fused kernel.
 
-    The kernel repeats exactly the arithmetic of sgld_step, with the noise
-    drawn up front from the same stream, so the trajectory is bitwise
-    identical to the generic path.
+    ``w`` stacks one state per chain, shape (chains, dim), and
+    ``noise_rngs`` holds the chains' noise streams in the same order.  The
+    kernel repeats exactly the arithmetic of sgld_step, elementwise, with
+    each chain's noise drawn up front from its own stream, so every
+    trajectory is bitwise identical to the generic path.  Returns the final
+    states and the samples, shape (samples, chains, dim).
     """
     m = config.samples_per_window
     steps = config.equilibration_epochs + m
     eps_eff = config.prior_eps if config.prior is PriorKind.GAUSSIAN else 0.0
-    noise = noise_rng.standard_normal((steps, w.size))
-    samples = np.empty((m, w.size))
+    noise = np.empty((steps,) + w.shape)
+    for i, rng in enumerate(noise_rngs):
+        noise[:, i] = rng.standard_normal((steps, w.shape[1]))
+    samples = np.empty((m,) + w.shape)
     w = kernels.sgld_chain_diag_quad(
         w, energy.eigenvalues, eps_eff, float(sample_size),
         0.5 * config.step_size, math.sqrt(config.step_size), noise, samples)
-    if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(w))):
-        raise NonFiniteState("langevin update produced a non-finite state")
     return w, samples
 
 
@@ -461,17 +464,31 @@ def run_incremental_protocol(energy: DifferentiableEnergy, dataset,
         pooled = []
         for c in range(k):
             pools[c] = np.concatenate([pools[c], blocks[j][c]])
-            if not alive[c]:
-                continue
+        live = [c for c in range(k) if alive[c]]
+        # chains whose whole pool fits one batch advance together as one
+        # (chains, dim) state through the fused kernel
+        fused = [c for c in live if isinstance(energy, QuadraticEnergy)
+                 and pools[c].size <= config.batch_size]
+        windows = {}
+        if fused:
+            final, samples = _window_quadratic(
+                energy, np.stack([states[c] for c in fused]), n, config,
+                [noise_rngs[c] for c in fused])
+            windows = {c: (final[i], np.ascontiguousarray(samples[:, i]))
+                       for i, c in enumerate(fused)}
+        for c in live:
             try:
-                if (isinstance(energy, QuadraticEnergy)
-                        and pools[c].size <= config.batch_size):
-                    states[c], samples = _window_quadratic(
-                        energy, states[c], pools[c], n, config, noise_rngs[c])
+                if c in windows:
+                    state, samples = windows[c]
+                    if not (np.all(np.isfinite(samples))
+                            and np.all(np.isfinite(state))):
+                        raise NonFiniteState(
+                            "langevin update produced a non-finite state")
                 else:
-                    states[c], samples = _window_generic(
+                    state, samples = _window_generic(
                         energy, states[c], pools[c], n, config,
                         noise_rngs[c], shuffle_rngs[c])
+                states[c] = state
             except NonFiniteState as exc:
                 alive[c] = False
                 failures.append(ChainFailure(chain=c, sample_size=int(n),

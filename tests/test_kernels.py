@@ -225,6 +225,23 @@ class TestSgldChain:
         assert np.array_equal(w0, before)
         assert np.array_equal(w, out[-1])
 
+    def test_chain_stack_matches_per_chain_calls(self):
+        # the update is elementwise, so a (chains, dim) state with noise laid
+        # out (steps, chains, dim) reproduces each chain's own call bitwise
+        rng = np.random.default_rng(8)
+        chains, p, steps, kept = 4, 3, 300, 40
+        w0 = rng.normal(size=(chains, p))
+        lam = rng.uniform(0.5, 2.0, size=p)
+        noise = rng.standard_normal((steps, chains, p))
+        out = np.empty((kept, chains, p))
+        w = kernels.sgld_chain_diag_quad(w0, lam, 0.7, 9.0, 0.01, 0.1, noise, out)
+        for c in range(chains):
+            one = np.empty((kept, p))
+            wc = kernels.sgld_chain_diag_quad(w0[c], lam, 0.7, 9.0, 0.01, 0.1,
+                                              np.ascontiguousarray(noise[:, c]), one)
+            assert np.array_equal(out[:, c], one)
+            assert np.array_equal(w[c], wc)
+
 
 class TestLogisticKernel:
     def test_variants_agree_to_rounding(self):
@@ -255,6 +272,70 @@ class TestLogisticKernel:
         _, short_loss, _, _ = kernels.logistic_gd(Xb, y, m, 0.0, 0.5, 5, 0.0)
         _, long_loss, _, _ = kernels.logistic_gd(Xb, y, m, 0.0, 0.5, 80, 0.0)
         assert long_loss < short_loss
+
+
+def padded_stack(problems):
+    """Stack (Xb, y) problems into zero-padded kernel arguments."""
+    n_rows = np.array([Xb.shape[0] for Xb, _ in problems])
+    d1 = problems[0][0].shape[1]
+    Xs = np.zeros((len(problems), n_rows.max(), d1))
+    ys = np.zeros((len(problems), n_rows.max()), dtype=np.int64)
+    for k, (Xb, y) in enumerate(problems):
+        Xs[k, :Xb.shape[0]] = Xb
+        ys[k, :y.size] = y
+    return Xs, ys, n_rows
+
+
+class TestLogisticStack:
+    """Each job of the stacked descent against the scalar reference.
+
+    Padding and the per-job reductions change the summation order, so
+    weights agree to rtol 1e-7 (atol 1e-9) and losses to rel 1e-9, the
+    tolerances of TestLogisticKernel; iteration counts and failure epochs
+    agree exactly.
+    """
+
+    def check_jobs(self, problems, m, l2, lr, epochs, grad_tol):
+        Xs, ys, n_rows = padded_stack(problems)
+        W, loss, it, bad = kernels.logistic_gd_stack(Xs, ys, n_rows, m, l2, lr,
+                                                     epochs, grad_tol)
+        for k, (Xb, y) in enumerate(problems):
+            W_ref, loss_ref, it_ref, bad_ref = _reference_logistic_gd(
+                Xb, y, m, l2, lr, epochs, grad_tol)
+            assert (it[k], bad[k]) == (it_ref, bad_ref)
+            np.testing.assert_allclose(W[k], W_ref, rtol=1e-7, atol=1e-9)
+            if np.isfinite(loss_ref):
+                assert loss[k] == pytest.approx(loss_ref, rel=1e-9)
+            else:
+                assert not np.isfinite(loss[k])
+        return it, bad
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_ragged_stack(self, m):
+        # fold train sizes n and n - 1, as the protocol plans them
+        problems = [logistic_problem(seed=s, n=n, m=m)[:2]
+                    for s, n in ((0, 40), (1, 39), (2, 40), (3, 39))]
+        it, bad = self.check_jobs(problems, m, 0.01, 0.5, 30, 0.0)
+        assert list(it) == [30] * 4 and list(bad) == [-1] * 4
+
+    def test_jobs_stop_at_grad_tol_on_their_own(self):
+        problems = [logistic_problem(seed=s, n=n)[:2]
+                    for s, n in ((5, 30), (6, 29), (7, 12))]
+        args = (3, 0.5, 0.5, 200, 1e-4)
+        it, bad = self.check_jobs(problems, *args)
+        assert len(set(it.tolist())) > 1 and max(it) < 200
+        for k, (Xb, y) in enumerate(problems):
+            assert it[k] == kernels.logistic_gd(Xb, y, *args)[2]
+
+    def test_non_finite_job_stops_alone(self):
+        # huge inputs overflow the logits once the first step has moved W
+        good = logistic_problem(seed=8, n=20)[:2]
+        Xb, y = logistic_problem(seed=9, n=19)[:2]
+        problems = [good, (Xb * 1e200, y), good]
+        with np.errstate(all="ignore"):
+            it, bad = self.check_jobs(problems, 3, 0.0, 1.0, 10, 0.0)
+        assert list(bad) == [-1, 1, -1]
+        assert list(it) == [10, 1, 10]
 
 
 class TestMlpKernel:

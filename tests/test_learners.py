@@ -27,7 +27,15 @@ from capmeter.learners import (
     mlp_learner,
     mlp_log_probs,
 )
-from capmeter.protocol import ProtocolConfig, estimate_avg_energy, run_protocol
+from capmeter.protocol import (
+    Job,
+    ProtocolConfig,
+    estimate_avg_energy,
+    evaluate_job,
+    loocv_avg_energy,
+    plan_experiment,
+    run_protocol,
+)
 
 
 def xor_dataset():
@@ -321,6 +329,73 @@ class TestMlp:
         model = mlp_learner(hidden=3, epochs=2, lr_max=0.1, batch=8).fit(
             ds, np.arange(40), 0)
         assert model.n_params == 5 * 3 + 3 + 3 * 2 + 2
+
+
+class TestLogisticFitMany:
+    """The stacked fit against one ``fit`` per job.
+
+    Padding and batched reductions change the summation order, so results
+    agree to rounding: weights to rtol 1e-12, record nll_sum to 1e-12
+    relative; iteration counts exactly.
+    """
+
+    def test_matches_fit_per_job(self):
+        ds = gen_synthetic(SyntheticConfig(d=4, kappa=0.5, m_classes=3, seed=4), 60)
+        learner = logistic_learner(l2=1e-3, epochs=60, lr=0.5)
+        jobs = plan_experiment(ProtocolConfig(n_grid=(23,), n_boots=2, k_folds=5,
+                                              m_seeds=1), 60)
+        assert {job.train_rows.size for job in jobs} == {18, 19}
+        models = learner.fit_many(ds, jobs)
+        for job, model in zip(jobs, models):
+            one = learner.fit(ds, job.train_rows, job.seed)
+            np.testing.assert_allclose(model.weights, one.weights, rtol=1e-12,
+                                       atol=1e-15)
+            assert model.iterations == one.iterations
+
+    def test_protocol_records_match_fit_per_job(self):
+        ds = gen_synthetic(SyntheticConfig(d=5, kappa=0.0, teacher_hidden=2,
+                                           seed=2), 80)
+        learner = logistic_learner(l2=1e-3, epochs=40, lr=1.0)
+        cfg = ProtocolConfig(n_grid=(20, 33, 80), n_boots=2, k_folds=5,
+                             m_seeds=2, master_seed=1)
+        grouped = run_protocol(ds, learner, cfg).records
+        per_job = [evaluate_job(ds, learner, job, "data")[0]
+                   for job in plan_experiment(cfg, ds.n_rows)]
+        assert len(grouped) == len(per_job) == 60
+        for a, b in zip(grouped, per_job):
+            assert (a.sample_size, a.boot_index, a.fold_index, a.seed_index,
+                    a.heldout_count) == (b.sample_size, b.boot_index,
+                                         b.fold_index, b.seed_index,
+                                         b.heldout_count)
+            assert a.nll_sum == pytest.approx(b.nll_sum, rel=1e-12)
+
+    def test_first_failing_job_raises_fits_error(self):
+        # rows 0-29 are tame; row 30 sends the logits past overflow
+        x = np.vstack([np.random.default_rng(3).normal(size=(30, 2)),
+                       [[1e200, 0.0]]])
+        ds = Dataset(x, np.arange(31) % 2, 2)
+        learner = logistic_learner(l2=0.0, epochs=10, lr=1.0)
+        tame, wild = np.arange(20), np.append(np.arange(19), 30)
+        jobs = [Job(31, 0, f, 0, 0, rows, np.array([25]))
+                for f, rows in enumerate((tame, wild, wild[::-1]))]
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteLoss) as alone:
+                learner.fit(ds, wild, 0)
+            with pytest.raises(NonFiniteLoss) as grouped:
+                learner.fit_many(ds, jobs)
+        assert str(grouped.value) == str(alone.value)
+        assert grouped.value.iteration == alone.value.iteration
+        assert grouped.value.job is jobs[1]
+
+    def test_loocv_matches_fit_per_row(self):
+        ds = gen_synthetic(SyntheticConfig(d=3, kappa=0.0, seed=6), 15)
+        learner = logistic_learner(l2=1e-2, epochs=80, lr=0.5)
+        total = 0.0
+        for i in range(ds.n_rows):
+            model = learner.fit(ds, np.delete(np.arange(ds.n_rows), i), 0)
+            total += float(model.nll_terms(ds, np.array([i]))[0])
+        assert loocv_avg_energy(learner, ds) == pytest.approx(total / ds.n_rows,
+                                                              rel=1e-12)
 
 
 class TestMonotoneDataBenefit:

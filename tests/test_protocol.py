@@ -13,6 +13,7 @@ from capmeter.errors import (
     InvariantViolation,
     NonFinite,
     ParseError,
+    TrainingFailure,
 )
 from capmeter.protocol import (
     EnergyCurve,
@@ -54,6 +55,32 @@ class MeanModel:
 class MeanLearner:
     def fit(self, dataset, rows, seed):
         return MeanModel(float(np.mean(dataset.labels[np.asarray(rows)])))
+
+
+class GroupMeanLearner(MeanLearner):
+    """MeanLearner that also trains a group at once, logging each call."""
+
+    def __init__(self, fail_at=None):
+        self.groups = []
+        self.fail_at = fail_at
+
+    def fit_many(self, dataset, jobs):
+        self.groups.append([job.sample_size for job in jobs])
+        if self.fail_at is not None:
+            raise TrainingFailure("diverged", job=jobs[self.fail_at])
+        return [self.fit(dataset, job.train_rows, job.seed) for job in jobs]
+
+
+class FailsWithoutRowLearner(MeanLearner):
+    """fit fails whenever its training rows leave out one given row."""
+
+    def __init__(self, row):
+        self.row = row
+
+    def fit(self, dataset, rows, seed):
+        if self.row not in np.asarray(rows):
+            raise TrainingFailure("diverged")
+        return super().fit(dataset, rows, seed)
 
 
 class FixedTermsModel:
@@ -280,6 +307,30 @@ class TestRunProtocol:
         threaded = run_protocol(ds, MeanLearner(), cfg, workers=4)
         assert serial.records == threaded.records
 
+    def test_fit_many_trains_each_sample_size_in_one_call(self):
+        ds = FakeDataset(np.arange(30) % 3)
+        cfg = ProtocolConfig(n_grid=(10, 13, 20), n_boots=2, k_folds=3,
+                             m_seeds=2, master_seed=5)
+        learner = GroupMeanLearner()
+        grouped = run_protocol(ds, learner, cfg)
+        assert learner.groups == [[n] * 12 for n in (10, 13, 20)]
+        per_job = [evaluate_job(ds, MeanLearner(), job, "data")
+                   for job in plan_experiment(cfg, ds.n_rows)]
+        assert grouped.records == [rec for rec, _ in per_job]
+        assert grouped.clamp_events == sum(ev for _, ev in per_job)
+
+    def test_training_failure_names_its_job(self):
+        ds = FakeDataset(np.arange(12) % 2)
+        cfg = ProtocolConfig(n_grid=(10,), n_boots=1, k_folds=2, m_seeds=1)
+        jobs = plan_experiment(cfg, ds.n_rows)
+        with pytest.raises(TrainingFailure) as err:
+            run_protocol(ds, GroupMeanLearner(fail_at=1), cfg)
+        assert err.value.job.fold_index == jobs[1].fold_index == 1
+        learner = FailsWithoutRowLearner(int(jobs[0].heldout_rows[0]))
+        with pytest.raises(TrainingFailure) as err:
+            run_protocol(ds, learner, cfg)
+        assert err.value.job.fold_index == 0
+
     def test_records_aggregate_for_grid(self):
         ds = FakeDataset(np.arange(25) % 2)
         cfg = ProtocolConfig(n_grid=(10, 20), n_boots=2, k_folds=2, m_seeds=1)
@@ -312,6 +363,19 @@ class TestLoocv:
             records.append(rec)
         curve = estimate_avg_energy(records)
         assert curve.u_mean[0] == loocv_avg_energy(learner, ds, seed=0)
+
+    def test_grouped_fit_gives_the_same_estimate(self):
+        ds = FakeDataset(np.arange(7) % 3 * 0.5)
+        learner = GroupMeanLearner()
+        assert loocv_avg_energy(learner, ds) == loocv_avg_energy(MeanLearner(), ds)
+        assert learner.groups == [[7] * 7]
+
+    def test_failure_names_the_left_out_row(self):
+        ds = FakeDataset(np.arange(5) * 1.0)
+        with pytest.raises(TrainingFailure, match="failed at row 3: diverged"):
+            loocv_avg_energy(FailsWithoutRowLearner(3), ds)
+        with pytest.raises(TrainingFailure, match="failed at row 2: diverged"):
+            loocv_avg_energy(GroupMeanLearner(fail_at=2), ds)
 
     def test_needs_two_rows(self):
         with pytest.raises(InvalidArgument):

@@ -480,6 +480,55 @@ class TestIncrementalProtocol:
         for x, y in zip(fused.records, generic.records):
             assert x.nll_sum == y.nll_sum
 
+    def test_fused_and_generic_agree_over_five_chains(self):
+        # 5 chains x 4 schedule points with batch 2: at N=5 and N=10 all five
+        # pools fit one batch and advance as one stacked state; at N=12 the
+        # pools hold 3, 3, 2, 2, 2 rows and straddle the batch; at N=20 every
+        # chain is minibatched
+        cfg = self.config(n_schedule=(5, 10, 12, 20), chains=5, batch_size=2,
+                          equilibration_epochs=30, samples_per_window=40)
+        fused = run_incremental_protocol(QuadraticEnergy([1.0, 0.5, 2.0]),
+                                         RowCount(21), cfg)
+        generic = run_incremental_protocol(WrappedQuadratic([1.0, 0.5, 2.0]),
+                                           RowCount(21), cfg)
+        assert [b.size for b in schedule_row_blocks(cfg.n_schedule, 5)[2]] == [
+            1, 1, 0, 0, 0]
+        np.testing.assert_array_equal(fused.curve.u_mean, generic.curve.u_mean)
+        np.testing.assert_array_equal(fused.curve.u_stderr, generic.curve.u_stderr)
+        assert fused.records == generic.records
+        assert ([c.value for c in fused.capacities]
+                == [c.value for c in generic.capacities])
+
+    def diverging_config(self, equilibration_epochs):
+        # at N=10 the update multiplies the lambda=1 coordinate by -1.2 a
+        # step, so after ~3860 steps the states reach the overflow edge and
+        # whether a chain overflows depends on its noise
+        return SgldConfig(step_size=0.4, n_schedule=(5, 10), chains=5,
+                          equilibration_epochs=equilibration_epochs,
+                          samples_per_window=20, seed=3)
+
+    def test_diverging_chain_is_dropped_as_before(self):
+        cfg = self.diverging_config(3860)
+        with np.errstate(all="ignore"):
+            fused = run_incremental_protocol(QuadraticEnergy([1.0, 0.5]),
+                                             RowCount(11), cfg)
+            generic = run_incremental_protocol(WrappedQuadratic([1.0, 0.5]),
+                                               RowCount(11), cfg)
+        expected = (ChainFailure(chain=2, sample_size=10,
+                                 detail="langevin update produced a non-finite state"),)
+        assert fused.failures == generic.failures == expected
+        assert list(fused.curve.record_count) == [5, 4]
+        assert fused.records == generic.records
+
+    def test_diverging_majority_aborts_as_before(self):
+        message = ("only 2 of 5 chains survived to sample size 10: "
+                   "chain 2 at N=10; chain 3 at N=10; chain 4 at N=10")
+        for energy in (QuadraticEnergy([1.0, 0.5]), WrappedQuadratic([1.0, 0.5])):
+            with np.errstate(all="ignore"), pytest.raises(NonFiniteState) as err:
+                run_incremental_protocol(energy, RowCount(11),
+                                         self.diverging_config(3864))
+            assert str(err.value) == message
+
     def test_minibatched_path_runs(self):
         cfg = self.config(batch_size=1, equilibration_epochs=30,
                           samples_per_window=40)
