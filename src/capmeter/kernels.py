@@ -1,9 +1,10 @@
 """Hot numeric loops, one vectorized numpy implementation each.
 
 ``logistic_gd_stack`` trains a stack of logistic fits at once
-(``logistic_gd`` is its one-job case) and ``mlp_sgd`` trains the MLP
-learner; ``sgld_chain_diag_quad`` runs fused Langevin chains for diagonal
-quadratic energies.  Callers reach them through this module's attributes
+(``logistic_gd`` is its one-job case), and ``mlp_sgd_stack`` a stack of MLP
+fits with one training-set size (``mlp_sgd`` is its one-job case);
+``sgld_chain_diag_quad`` runs fused Langevin chains for diagonal quadratic
+energies.  Callers reach them through this module's attributes
 (``kernels.logistic_gd(...)``), so a wrapper bound here sees every call.
 """
 
@@ -79,54 +80,79 @@ def logistic_gd_stack(Xb, y, n_rows, n_classes, l2, lr, epochs, grad_tol):
 # epoch.  Returns (last_epoch_loss, bad_epoch).
 
 def mlp_sgd(X, y, W1, b1, W2, b2, perms, lr_max, momentum, batch):
-    n = X.shape[0]
-    epochs = perms.shape[0]
+    loss, bad = mlp_sgd_stack(X[None], y[None], W1[None], b1[None], W2[None],
+                              b2[None], perms[:, None], perms.shape[0],
+                              lr_max, momentum, batch)
+    return float(loss[0]), int(bad[0])
+
+
+# The same SGD for a stack of equal-size jobs at once: X is (jobs, n, d), y
+# is (jobs, n), and the parameters, updated in place, carry a leading jobs
+# axis.  orders yields one (jobs, n) array per epoch, row k the permutation
+# job k takes in it.  Every product is a per-job matmul and every reduction
+# runs within a job, so each job's bits are those of its own call.  A job
+# whose epoch loss is non-finite stops after that epoch and the others go
+# on; the results are per-job arrays of mlp_sgd's two values.
+
+def mlp_sgd_stack(X, y, W1, b1, W2, b2, orders, epochs, lr_max, momentum,
+                  batch):
+    jobs, n, d = X.shape
+    m = W2.shape[2]
     nb = (n + batch - 1) // batch
     total = epochs * nb
-    vW1 = np.zeros_like(W1)
-    vb1 = np.zeros_like(b1)
-    vW2 = np.zeros_like(W2)
-    vb2 = np.zeros_like(b2)
-    epoch_loss = 0.0
+    Xf = X.reshape(jobs * n, d)
+    yf = y.reshape(jobs * n)
+    out = (W1, b1, W2, b2)
+    params = list(out)
+    vel = [np.zeros_like(a) for a in params]
+    live = np.arange(jobs)
+    loss = np.zeros(jobs)
+    bad = np.full(jobs, -1, dtype=np.int64)
     step = 0
-    for epoch in range(epochs):
-        order = perms[epoch]
-        epoch_loss = 0.0
+    for epoch, order in zip(range(epochs), orders):
+        flat = order[live] + (live * n)[:, None]
+        epoch_loss = np.zeros(live.size)
         for bi in range(nb):
-            rows = order[bi * batch:(bi + 1) * batch]
-            bs = rows.shape[0]
+            rows = flat[:, bi * batch:(bi + 1) * batch]
+            bs = rows.shape[1]
+            xb = Xf[rows]
+            # flat position of each row's own-class logit in the batch
+            lab = np.arange(0, rows.size * m, m).reshape(-1, bs) + yf[rows]
             lr = lr_max * 0.5 * (1.0 + np.cos(np.pi * step / total))
-            xb = X[rows]
-            yb = y[rows]
-            pre = xb @ W1 + b1
-            hid = np.maximum(pre, 0.0)
-            logits = hid @ W2 + b2
-            mx = logits.max(axis=1, keepdims=True)
+            w1, c1, w2, c2 = params
+            hid = np.maximum(xb @ w1 + c1[:, None], 0.0)
+            logits = hid @ w2 + c2[:, None]
+            mx = logits.max(axis=2, keepdims=True)
             E = np.exp(logits - mx)
-            S = E.sum(axis=1, keepdims=True)
-            epoch_loss += float(np.sum(np.log(S[:, 0]) + mx[:, 0]
-                                       - logits[np.arange(bs), yb]))
+            S = E.sum(axis=2, keepdims=True)
+            epoch_loss += np.sum(np.log(S[..., 0]) + mx[..., 0]
+                                 - logits.take(lab), axis=1)
             dlog = E / S
-            dlog[np.arange(bs), yb] -= 1.0
+            dlog.reshape(-1)[lab] -= 1.0
             dlog /= bs
-            dhid = (dlog @ W2.T) * (hid > 0.0)
-            gW2 = hid.T @ dlog
-            gb2 = dlog.sum(axis=0)
-            gW1 = xb.T @ dhid
-            gb1 = dhid.sum(axis=0)
-            vW2 = momentum * vW2 + gW2
-            W2 -= lr * (gW2 + momentum * vW2)
-            vb2 = momentum * vb2 + gb2
-            b2 -= lr * (gb2 + momentum * vb2)
-            vW1 = momentum * vW1 + gW1
-            W1 -= lr * (gW1 + momentum * vW1)
-            vb1 = momentum * vb1 + gb1
-            b1 -= lr * (gb1 + momentum * vb1)
+            dhid = (dlog @ w2.transpose(0, 2, 1)) * (hid > 0.0)
+            grads = (xb.transpose(0, 2, 1) @ dhid, dhid.sum(axis=1),
+                     hid.transpose(0, 2, 1) @ dlog, dlog.sum(axis=1))
+            for p, v, g in zip(params, vel, grads):
+                v *= momentum
+                v += g
+                p -= lr * (g + momentum * v)
             step += 1
         epoch_loss /= n
-        if not np.isfinite(epoch_loss):
-            return epoch_loss, epoch
-    return epoch_loss, -1
+        loss[live] = epoch_loss
+        failed = ~np.isfinite(epoch_loss)
+        if failed.any():
+            bad[live[failed]] = epoch
+            for o, p in zip(out, params):
+                o[live] = p
+            params = [p[~failed] for p in params]
+            vel = [v[~failed] for v in vel]
+            live = live[~failed]
+            if live.size == 0:
+                break
+    for o, p in zip(out, params):
+        o[live] = p
+    return loss, bad
 
 
 # ---------------------------------------------------------------------------

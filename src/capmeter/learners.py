@@ -466,6 +466,48 @@ class MlpLearner:
             raise NonFiniteLoss(bad, f"loss became non-finite at epoch {bad}")
         return MlpModel((w1, b1, w2, b2), dataset.m_classes, loss)
 
+    def fit_many(self, dataset: Dataset, jobs) -> list:
+        """One model per job, bitwise as ``fit`` trains it, in job order.
+
+        Jobs with equal training-set sizes share minibatch shapes and a
+        learning-rate schedule, so each such part of the group trains as
+        one stack.  Every job keeps its own init and its own generator of
+        epoch shuffles, drawn as each epoch starts.  A training failure is
+        raised for the first job, in order, that fails, with the message
+        ``fit`` gives it and that job as its ``job``.
+        """
+        if not dataset.is_classification:
+            raise InvalidArgument("MLP learner requires class labels")
+        parts = {}
+        for k, job in enumerate(jobs):
+            if job.train_rows.size == 0:
+                raise EmptyTrainingSet("MLP needs training rows", job=job)
+            parts.setdefault(job.train_rows.size, []).append(k)
+        m = dataset.m_classes
+        models = [None] * len(jobs)
+        bad = np.empty(len(jobs), dtype=np.int64)
+        for n, ks in parts.items():
+            rows = np.stack([jobs[k].train_rows for k in ks])
+            inits = [mlp_init(dataset.feature_dim, self.hidden, m, jobs[k].seed)
+                     for k in ks]
+            params = [np.stack(p) for p in zip(*inits)]
+            rngs = [np.random.default_rng(jobs[k].seed + 1) for k in ks]
+            orders = (np.stack([rng.permutation(n) for rng in rngs])
+                      for _ in range(self.epochs))
+            loss, part_bad = kernels.mlp_sgd_stack(
+                dataset.inputs[rows], dataset.labels[rows], *params, orders,
+                self.epochs, self.lr_max, self.MOMENTUM, self.batch)
+            bad[ks] = part_bad
+            for i, k in enumerate(ks):
+                models[k] = MlpModel(tuple(p[i] for p in params), m,
+                                     float(loss[i]))
+        for job, b in zip(jobs, bad):
+            if b >= 0:
+                b = int(b)
+                raise NonFiniteLoss(b, f"loss became non-finite at epoch {b}",
+                                    job=job)
+        return models
+
 
 def mlp_learner(hidden: int, epochs: int = 150, lr_max: float = 0.1,
                 batch: int = 64) -> MlpLearner:
@@ -474,7 +516,8 @@ def mlp_learner(hidden: int, epochs: int = 150, lr_max: float = 0.1,
     Mini-batch SGD with Nesterov momentum 0.9 and a single cosine decay of
     the learning rate from lr_max to 0 across all steps.  Weight init and
     the per-epoch shuffles derive from the fit seed, so training is
-    reproducible bit for bit.
+    reproducible bit for bit.  ``fit_many`` trains a protocol group's jobs
+    as one stack per training-set size, with the same bits as ``fit``.
     """
     if hidden < 1:
         raise InvalidArgument(f"hidden must be >= 1, got {hidden}")

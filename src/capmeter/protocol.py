@@ -10,8 +10,10 @@ over its fold and the fold size.  Records aggregate into an
 
 Jobs are trained one sample size at a time, in plan order.  A learner
 with ``fit_many`` trains all of one N's jobs in a single call (the logistic
-learner stacks them into one batched gradient descent); any other learner
-is called once per job.
+learner stacks them into one batched gradient descent; the MLP learner
+splits them by training-set size, which differs by one between folds, and
+trains each part as one stacked minibatch SGD); any other learner is called
+once per job.
 
 Per-example NLL values are clamped to [0, 50] before summing so a single
 degenerate prediction cannot dominate a record; clamp events are counted
@@ -269,8 +271,10 @@ def run_protocol(dataset, learner, config: ProtocolConfig,
                  dataset_id: str = "data", workers: int = 1) -> RunResult:
     """Plan, train, and collect records for the whole grid.
 
-    The jobs of each sample size are trained together (see the module
-    docstring); records come out in plan order.  ``workers`` is accepted
+    The jobs of each sample size are trained together, by the learner's
+    ``fit_many`` when it has one: in one stack for the logistic learner, in
+    one stack per training-set size for the MLP (see the module
+    docstring).  Records come out in plan order.  ``workers`` is accepted
     for compatibility and changes nothing: everything runs in the calling
     thread.
     """

@@ -10,6 +10,7 @@ read-only.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from capmeter.learners import (
     logistic_learner,
     mlp_learner,
 )
+from capmeter.protocol import ProtocolConfig, plan_experiment, run_protocol
 from capmeter.sgld import (
     QuadraticEnergy,
     RowCount,
@@ -77,3 +79,26 @@ def test_kernels_are_called_through_the_module(monkeypatch):
                         equilibration_epochs=1, samples_per_window=2, seed=0)
     run_incremental_protocol(QuadraticEnergy([1.0]), RowCount(3), config)
     assert calls == {"logistic_gd": 1, "mlp_sgd": 1, "sgld_chain_diag_quad": 1}
+
+
+def test_mlp_fit_many_calls_the_stack_kernel_through_the_module(monkeypatch):
+    # one kernels.mlp_sgd_stack call per (N, train size) stack, and none of
+    # the lone kernel
+    calls = []
+
+    def counted(X, *args, _kernel=kernels.mlp_sgd_stack):
+        calls.append(X.shape[:2])
+        return _kernel(X, *args)
+
+    def lone(*args):
+        raise AssertionError("fit_many called kernels.mlp_sgd")
+
+    monkeypatch.setattr(kernels, "mlp_sgd_stack", counted)
+    monkeypatch.setattr(kernels, "mlp_sgd", lone)
+    data = gen_synthetic(SyntheticConfig(d=2, kappa=0.0, seed=1), 40)
+    config = ProtocolConfig(n_grid=(20, 23), n_boots=1, k_folds=5, m_seeds=2)
+    run_protocol(data, mlp_learner(hidden=2, epochs=1, batch=8), config)
+    stacks = Counter((job.sample_size, job.train_rows.size)
+                     for job in plan_experiment(config, data.n_rows))
+    assert sorted(calls) == sorted((size, n) for (_, n), size in stacks.items())
+    assert len(calls) == 3

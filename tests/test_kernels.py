@@ -367,6 +367,84 @@ class TestMlpKernel:
         assert loss_second < loss_first
 
 
+def mlp_stack(problems):
+    """Stack equal-size mlp_problem draws into stacked kernel arguments."""
+    X = np.stack([pr[0] for pr in problems])
+    y = np.stack([pr[1] for pr in problems])
+    params = [np.stack([pr[2][i] for pr in problems]) for i in range(4)]
+    orders = np.stack([pr[3] for pr in problems], axis=1)
+    return X, y, params, orders
+
+
+class TestMlpStack:
+    """Each job of the stacked SGD against a lone ``mlp_sgd`` call.
+
+    Every product and reduction of the stack runs within one job, in the
+    order the lone call runs it, so the agreement is bitwise.
+    """
+
+    def check_jobs(self, problems, lr_max, batch):
+        X, y, params, orders = mlp_stack(problems)
+        loss, bad = kernels.mlp_sgd_stack(X, y, *params, orders, len(orders),
+                                          lr_max, 0.9, batch)
+        for k, (Xk, yk, pk, perms) in enumerate(problems):
+            alone = tuple(a.copy() for a in pk)
+            loss_k, bad_k = kernels.mlp_sgd(Xk, yk, *alone, perms, lr_max, 0.9,
+                                            batch)
+            assert bad[k] == bad_k
+            assert loss[k] == loss_k or (np.isnan(loss_k) and np.isnan(loss[k]))
+            for a_stack, a_alone in zip(params, alone):
+                assert np.array_equal(a_stack[k], a_alone, equal_nan=True)
+        return loss, bad
+
+    @pytest.mark.parametrize("h", [1, 5])
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("n, batch", [(6, 8), (17, 8), (40, 16)])
+    def test_each_job_matches_its_own_call(self, h, m, n, batch):
+        # (6, 8): one short minibatch; (17, 8): the last holds one row
+        problems = [mlp_problem(seed=s, n=n, h=h, m=m, epochs=4)
+                    for s in range(10, 14)]
+        _, bad = self.check_jobs(problems, 0.05, batch)
+        assert list(bad) == [-1] * 4
+
+    def test_jobs_match_scalar_reference(self):
+        # the tolerances of TestMlpKernel.test_variants_agree_to_rounding
+        problems = [mlp_problem(seed=s, m=3) for s in (20, 21, 22)]
+        X, y, params, orders = mlp_stack(problems)
+        loss, bad = kernels.mlp_sgd_stack(X, y, *params, orders, len(orders),
+                                          0.05, 0.9, 8)
+        for k, (Xk, yk, pk, perms) in enumerate(problems):
+            ref = tuple(a.copy() for a in pk)
+            loss_ref, bad_ref = _reference_mlp_sgd(Xk, yk, *ref, perms, 0.05,
+                                                   0.9, 8)
+            assert bad[k] == bad_ref == -1
+            assert loss_ref == pytest.approx(loss[k], rel=1e-8)
+            for a_stack, a_ref in zip(params, ref):
+                np.testing.assert_allclose(a_ref, a_stack[k], rtol=1e-6,
+                                           atol=1e-9)
+
+    def test_non_finite_job_stops_alone(self):
+        # inputs of 1e50 keep the first epoch's loss finite and overflow in
+        # the second; the tame jobs train all their epochs
+        problems = [mlp_problem(seed=s, n=24, epochs=6) for s in (30, 31, 32)]
+        problems[1][0][:] *= 1e50
+        with np.errstate(all="ignore"):
+            loss, bad = self.check_jobs(problems, 0.5, 8)
+        assert bad[0] == bad[2] == -1
+        assert bad[1] >= 1 and not np.isfinite(loss[1])
+        assert np.all(np.isfinite(loss[[0, 2]]))
+
+    def test_stops_after_epochs(self):
+        # orders may yield more epochs than asked for
+        problems = [mlp_problem(seed=s, epochs=5) for s in (40, 41)]
+        X, y, params, orders = mlp_stack(problems)
+        loss, _ = kernels.mlp_sgd_stack(X, y, *params, orders, 2, 0.05, 0.9, 8)
+        for k, (Xk, yk, pk, perms) in enumerate(problems):
+            alone = tuple(a.copy() for a in pk)
+            assert kernels.mlp_sgd(Xk, yk, *alone, perms[:2], 0.05, 0.9,
+                                   8)[0] == loss[k]
+
+
 NO_NUMBA_PROBE = """
 import json, sys
 

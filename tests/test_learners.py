@@ -12,6 +12,7 @@ from capmeter.errors import (
     MixedTypes,
     NonFiniteLoss,
     ParseError,
+    TrainingFailure,
 )
 from capmeter.learners import (
     Dataset,
@@ -396,6 +397,73 @@ class TestLogisticFitMany:
             total += float(model.nll_terms(ds, np.array([i]))[0])
         assert loocv_avg_energy(learner, ds) == pytest.approx(total / ds.n_rows,
                                                               rel=1e-12)
+
+
+class TestMlpFitMany:
+    """The stacked fit against one ``fit`` per job, bitwise.
+
+    Each part of a group with one training-set size trains as one stack, and
+    every job of a stack keeps its own init, shuffles and schedule.
+    """
+
+    def assert_same_model(self, a, b):
+        assert a.final_loss == b.final_loss
+        for pa, pb in zip(a.params, b.params):
+            assert np.array_equal(pa, pb)
+
+    def test_matches_fit_per_job(self):
+        ds = gen_synthetic(SyntheticConfig(d=4, kappa=0.5, m_classes=3, seed=4), 60)
+        learner = mlp_learner(hidden=3, epochs=6, lr_max=0.2, batch=8)
+        jobs = plan_experiment(ProtocolConfig(n_grid=(23,), n_boots=2, k_folds=5,
+                                              m_seeds=2), 60)
+        assert {job.train_rows.size for job in jobs} == {18, 19}
+        models = learner.fit_many(ds, jobs)
+        assert len(models) == len(jobs)
+        for job, model in zip(jobs, models):
+            self.assert_same_model(model, learner.fit(ds, job.train_rows, job.seed))
+
+    def test_first_failing_job_raises_fits_error(self):
+        # row 30 sends the activations past overflow; the first two jobs
+        # differ in size, so the failing one trains in the second stack
+        x = np.vstack([np.random.default_rng(3).normal(size=(30, 2)),
+                       [[1e200, 0.0]]])
+        ds = Dataset(x, np.arange(31) % 2, 2)
+        learner = mlp_learner(hidden=2, epochs=5, lr_max=0.1, batch=8)
+        tame, wild = np.arange(20), np.append(np.arange(18), 30)
+        jobs = [Job(31, 0, f, 0, f, rows, np.array([25]))
+                for f, rows in enumerate((tame, wild, tame[:19], wild[::-1]))]
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteLoss) as alone:
+                learner.fit(ds, wild, jobs[1].seed)
+            with pytest.raises(NonFiniteLoss) as grouped:
+                learner.fit_many(ds, jobs)
+        assert str(grouped.value) == str(alone.value)
+        assert grouped.value.iteration == alone.value.iteration
+        assert grouped.value.job is jobs[1]
+
+    def test_loocv_matches_fit_per_row(self):
+        ds = gen_synthetic(SyntheticConfig(d=3, kappa=0.0, seed=6), 15)
+        learner = mlp_learner(hidden=4, epochs=10, lr_max=0.2, batch=4)
+        total = 0.0
+        for i in range(ds.n_rows):
+            model = learner.fit(ds, np.delete(np.arange(ds.n_rows), i), 0)
+            terms = model.nll_terms(ds, np.array([i]))
+            total += float(np.sum(np.clip(terms, 0.0, 50.0)))
+        assert loocv_avg_energy(learner, ds) == total / ds.n_rows
+
+    def test_loocv_failure_names_the_left_out_row(self):
+        # row 5 overflows every fit that trains on it, so the first failing
+        # leave-one-out fit is the one that leaves out row 0
+        x = np.vstack([np.random.default_rng(4).normal(size=(5, 2)),
+                       [[1e200, -1e200]]])
+        ds = Dataset(x, np.arange(6) % 2, 2)
+        learner = mlp_learner(hidden=4, epochs=3, lr_max=0.1, batch=4)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteLoss) as alone:
+                learner.fit(ds, np.delete(np.arange(6), 0), 0)
+            with pytest.raises(TrainingFailure,
+                               match=f"failed at row 0: {alone.value}"):
+                loocv_avg_energy(learner, ds)
 
 
 class TestMonotoneDataBenefit:

@@ -15,6 +15,7 @@ from capmeter.errors import (
     ParseError,
     TrainingFailure,
 )
+from capmeter.learners import SyntheticConfig, gen_synthetic, mlp_learner
 from capmeter.protocol import (
     EnergyCurve,
     EnergyRecord,
@@ -330,6 +331,21 @@ class TestRunProtocol:
         with pytest.raises(TrainingFailure) as err:
             run_protocol(ds, learner, cfg)
         assert err.value.job.fold_index == 0
+
+    def test_mlp_records_match_per_job_evaluation(self):
+        # grid points 33 and 47 give fold train sizes n and n - 1, so their
+        # groups train as two stacks each
+        ds = gen_synthetic(SyntheticConfig(d=4, kappa=0.5, teacher_hidden=3,
+                                           seed=2), 60)
+        learner = mlp_learner(hidden=3, epochs=5, lr_max=0.2, batch=8)
+        cfg = ProtocolConfig(n_grid=(20, 33, 47), n_boots=2, k_folds=5,
+                             m_seeds=2, master_seed=4)
+        grouped = run_protocol(ds, learner, cfg)
+        per_job = [evaluate_job(ds, learner, job, "data")
+                   for job in plan_experiment(cfg, ds.n_rows)]
+        assert len(grouped.records) == 60
+        assert grouped.records == [rec for rec, _ in per_job]
+        assert grouped.clamp_events == sum(ev for _, ev in per_job)
 
     def test_records_aggregate_for_grid(self):
         ds = FakeDataset(np.arange(25) % 2)
