@@ -347,6 +347,8 @@ def _poly_section(model, curve):
 
 
 def cmd_fit(args) -> int:
+    if args.params is not None and args.params < 1:
+        raise ConfigError(f"--params must be >= 1, got {args.params}")
     curve = _load_curve_input(args.records)
     label = args.label or os.path.splitext(os.path.basename(args.records))[0]
     n_max = float(curve.n[-1])
@@ -373,8 +375,6 @@ def cmd_fit(args) -> int:
     }
     primary = sigmoid if sigmoid is not None else poly
     if args.params is not None:
-        if args.params < 1:
-            raise ConfigError(f"--params must be >= 1, got {args.params}")
         payload["c_over_p_percent"] = (
             100.0 * primary["capacity_at_n_max"]["value"] / args.params)
 
@@ -481,6 +481,9 @@ def _capacity_lookup(report_data: dict) -> dict:
 
 
 def cmd_compare(args) -> int:
+    if len(args.reports) < 2:
+        raise ConfigError(
+            f"compare needs two or more fit .json reports, got {len(args.reports)}")
     reports = []
     for path in args.reports:
         with open(path) as fh:

@@ -4,8 +4,8 @@ Two fitted forms:
 
 * a degree-7 polynomial in log N for the energy, least-squares fitted
   under shape constraints (energy non-increasing, capacity non-decreasing)
-  enforced on a dense log grid and solved as a quadratic program with an
-  active-set scheme;
+  enforced on a dense log grid and solved as a quadratic program through
+  its non-negative least-squares (NNLS) dual;
 * the four-parameter sigmoid capacity model C(N) = a/(1+exp(-c log N + b)),
   fitted through its integrated energy by Levenberg-Marquardt.
 
@@ -40,6 +40,7 @@ from .quadrature import adaptive_gauss_legendre  # noqa: F401
 
 CONSTRAINT_GRID_SIZE = 64
 CONSTRAINT_TOL = 1e-9
+_ROUNDING = 64.0 * np.finfo(float).eps
 _C_MIN = 1e-6
 
 
@@ -124,63 +125,50 @@ def _energy_slopes(model: PolynomialEnergyModel, n_values: np.ndarray):
     return d1, model.halfwidth * d1 + d2
 
 
-def _active_set_qp(Q, q, G, tol=CONSTRAINT_TOL, max_iter=500):
-    """Minimize (1/2) x'Qx - q'x subject to Gx <= 0, starting from x = 0.
+def _nnls(M, d):
+    """min ||d - M nu|| over nu >= 0 by Lawson and Hanson's active set.
 
-    All constraints are homogeneous, so every equality-restricted
-    subproblem is solved on the null space of the working rows (SVD based,
-    robust to dependent rows).  Returns (x, any_constraint_active).
+    Returns (nu, d - M nu), the residual taken as d's projection off the
+    span of the positive multipliers' columns, which stays accurate when
+    nu is large.  The iteration stops once the gradient M'(d - M nu) at
+    every zero multiplier is within its rounding error, and at most
+    CONSTRAINT_TOL; a multiplier within rounding of 0 leaves the positive
+    set.  Inner and outer steps share one budget of 3 x columns.
     """
-    n = Q.shape[0]
-    x = np.zeros(n)
-    working: list = []
-    for iteration in range(max_iter):
-        if working:
-            gw = G[working]
-            _, s, vt = np.linalg.svd(gw)
-            rank = int(np.sum(s > s[0] * 1e-12)) if s.size else 0
-            z = vt[rank:].T
-        else:
-            z = np.eye(n)
-        if z.shape[1] == 0:
-            x_star = np.zeros(n)
-        else:
-            reduced = z.T @ Q @ z
-            rhs = z.T @ q
-            try:
-                beta = np.linalg.solve(reduced, rhs)
-            except np.linalg.LinAlgError:
-                beta = np.linalg.lstsq(reduced, rhs, rcond=None)[0]
-            x_star = z @ beta
-        step = x_star - x
-        slack = G @ x
-        move = G @ step
-        blocking = None
-        alpha = 1.0
-        for i in range(G.shape[0]):
-            if i in working or move[i] <= tol:
-                continue
-            limit = (0.0 - slack[i]) / move[i]
-            if limit < alpha - 1e-15:
-                alpha = max(limit, 0.0)
-                blocking = i
-        x = x + alpha * step
-        if blocking is not None:
-            working.append(blocking)
-            continue
-        # full step taken: check multipliers on the working set
-        grad = Q @ x - q
-        if not working:
-            return x, False
-        gw = G[working]
-        nu = np.linalg.lstsq(gw.T, -grad, rcond=None)[0]
-        scale = max(1.0, float(np.max(np.abs(grad))))
-        if np.all(nu >= -1e-9 * scale):
-            return x, True
-        working.pop(int(np.argmin(nu)))
-    raise SolverFailure(
-        f"active-set QP did not converge in {max_iter} iterations "
-        f"(working set size {len(working)})")
+    m = M.shape[1]
+    tol = min(CONSTRAINT_TOL, _ROUNDING * np.linalg.norm(d)
+              * np.max(np.linalg.norm(M, axis=0)))
+    nu = np.zeros(m)
+    resid = d
+    passive = np.zeros(m, dtype=bool)
+    budget = 3 * m
+    while True:
+        w = M.T @ resid
+        w[passive] = -np.inf
+        j = int(np.argmax(w))
+        if w[j] <= tol:
+            return nu, resid
+        passive[j] = True
+        while True:
+            budget -= 1
+            if budget < 0:
+                raise SolverFailure(
+                    f"NNLS did not converge in {3 * m} steps "
+                    f"({int(passive.sum())} multipliers positive)")
+            u, sv, vt = np.linalg.svd(M[:, passive], full_matrices=False)
+            keep = sv > _ROUNDING * sv[0]
+            proj = u[:, keep].T @ d
+            s = np.zeros(m)
+            s[passive] = vt[keep].T @ (proj / sv[keep])
+            floor = _ROUNDING * np.max(np.abs(s))
+            low = passive & (s <= floor)
+            if not low.any():
+                nu, resid = s, d - u[:, keep] @ proj
+                break
+            alpha = np.min(nu[low] / (nu[low] - s[low]))
+            nu += alpha * (s - nu)
+            passive &= nu > floor
+            nu[~passive] = 0.0
 
 
 def fit_monotone_polynomial(curve: EnergyCurve,
@@ -188,12 +176,14 @@ def fit_monotone_polynomial(curve: EnergyCurve,
     """Weighted least-squares polynomial in log N under shape constraints.
 
     Constraints (energy non-increasing, capacity non-decreasing) are
-    enforced at 64 log-spaced N spanning the curve and solved as an
-    inequality-constrained QP by an active-set scheme.
+    enforced at 64 log-spaced N spanning the curve, and the
+    inequality-constrained QP is solved through its NNLS dual
+    (least-distance programming, Lawson and Hanson 1974, ch. 23).
 
     Raises:
         InsufficientPoints: fewer than degree+2 points.
-        SolverFailure: active-set iteration cap hit.
+        SolverFailure: rank-deficient weighted design, or the NNLS dual
+            ran out of its step budget.
     """
     if len(curve) < degree + 2:
         raise InsufficientPoints(
@@ -208,25 +198,31 @@ def fit_monotone_polynomial(curve: EnergyCurve,
     t = (x - center) / halfwidth
     k = degree + 1
     A = np.vander(t, k, increasing=True)
-    w = _weights_from_stderr(curve.u_stderr)
-    Aw = A * w[:, None]
-    Q = 2.0 * (A.T @ Aw)
-    q = 2.0 * (Aw.T @ curve.u_mean)
+    root_w = np.sqrt(_weights_from_stderr(curve.u_stderr))
     grid_n = np.geomspace(n.min(), n.max(), CONSTRAINT_GRID_SIZE)
     tg = (np.log(grid_n) - center) / halfwidth
     D1 = _poly_deriv_matrix(k, tg, 1)
     D2 = _poly_deriv_matrix(k, tg, 2)
     G = np.vstack([D1, halfwidth * D1 + D2])
-    coeffs, active = _active_set_qp(Q, q, G)
-    try:
-        cov = np.linalg.inv(A.T @ Aw)
-    except np.linalg.LinAlgError:
-        cov = np.linalg.pinv(A.T @ Aw)
+    # With W^1/2 A = QR the weighted misfit is ||b - Rx||^2 + const, where
+    # b = Q'W^1/2 u.  In y = Rx the fit under Gx <= 0 is the least-distance
+    # program min ||y - b|| subject to M'y <= 0, M = R^-T G'; its dual is
+    # the NNLS min ||b - M nu|| over nu >= 0, and y = b - M nu.  Factoring
+    # W^1/2 A, not A'WA, keeps the condition number from being squared.
+    basis, R = np.linalg.qr(A * root_w[:, None])
+    diag = np.abs(np.diag(R))
+    if not diag.min() > _ROUNDING * diag.max():
+        raise SolverFailure("weighted design matrix is rank deficient")
+    R_inv = np.linalg.inv(R)
+    M = R_inv.T @ G.T
+    nu, y = _nnls(M, basis.T @ (root_w * curve.u_mean))
+    coeffs = R_inv @ y
+    cov = R_inv @ R_inv.T
     resid = curve.u_mean - A @ coeffs
     return PolynomialEnergyModel(
         coeffs=coeffs, center=center, halfwidth=halfwidth,
         n_min=float(n.min()), n_max=float(n.max()), constraint_grid=grid_n,
-        constraints_active=active, covariance=cov,
+        constraints_active=bool(np.any(nu > 0)), covariance=cov,
         residual_rms=float(np.sqrt(np.mean(resid ** 2))), degree=degree)
 
 

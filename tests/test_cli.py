@@ -220,6 +220,24 @@ class TestFit:
         assert code == 4
         assert "DegenerateCurve" in capsys.readouterr().err
 
+    def test_params_below_one_exits_2_before_fitting(self, tmp_path, capsys,
+                                                     monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fit ran before --params was checked")
+
+        monkeypatch.setattr(cli, "fit_sigmoid_capacity", no_fit)
+        monkeypatch.setattr(cli, "fit_monotone_polynomial", no_fit)
+        n = np.rint(np.geomspace(30, 150, 9)).astype(np.int64)
+        curve = tmp_path / "curve.csv"
+        write_curve_file(curve, n, 0.5 + 1.0 / n, np.full(n.size, 0.01))
+        out = tmp_path / "f"
+        code = cli.main(["fit", str(curve), "--method", "both",
+                         "--params", "0", "--out", str(out)])
+        assert code == 2
+        assert "--params must be >= 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "f.txt").exists()
+        assert not (tmp_path / "f.json").exists()
+
     def test_garbage_header_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("who,what,when\n1,2,3\n")
@@ -361,6 +379,17 @@ class TestCompare:
         captured = capsys.readouterr()
         assert "tau@100 tied" in captured.out
         assert "refused: capacities all equal" in captured.out
+
+    def test_single_report_exits_2(self, tmp_path, capsys):
+        a = tmp_path / "a.json"
+        a.write_text(json.dumps(fit_report("a", [100, 200], [0.5, 0.4],
+                                           [10.0, 12.0])))
+        assert cli.main(["compare", str(a),
+                         "--out", str(tmp_path / "cmp")]) == 2
+        err = capsys.readouterr().err
+        assert "ConfigError" in err
+        assert "two or more fit .json reports, got 1" in err
+        assert not (tmp_path / "cmp.json").exists()
 
     def test_no_overlap_exits_2(self, tmp_path, capsys):
         a = tmp_path / "a.json"

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from scipy import integrate, optimize, special, stats
 
 import capmeter.estimators
 
@@ -28,6 +28,7 @@ from capmeter.errors import (
     UndefinedThreshold,
 )
 from capmeter.estimators import (
+    CONSTRAINT_TOL,
     CapacityEstimate,
     Guidance,
     SigmoidCapacityModel,
@@ -39,6 +40,8 @@ from capmeter.estimators import (
     fit_sigmoid_capacity,
     freezing_threshold,
     kendall_tau,
+    _energy_slopes,
+    _nnls,
     _sigmoid_tail,
 )
 from capmeter.protocol import EnergyCurve
@@ -79,7 +82,82 @@ def plain_model(a, b, c, u_inf):
                                 covariance=np.zeros((4, 4)), residual_rms=0.0)
 
 
+# (N, u_mean, u_stderr) of curves whose constrained polynomial fit is hard.
+# The two MLP curves once stopped the solver at an iteration cap; they are
+# `capmeter run --learner mlp --batch 64 --synthetic
+# d=20,kappa=1,hidden=2,seed=1 --boots 1 --folds 5 --seeds 2` with
+# --hidden 16 --epochs 5 --n-grid 30:150:9log --seed 1, and with --hidden 8
+# --epochs 20 --n-grid 60:600:9log --seed 1059036137.  The noise curve has
+# weights spanning 1:26000, so the dual multipliers reach ~1e5 and d - M nu
+# loses the 1e-9 constraint tolerance to cancellation.
+HARD_CURVES = {
+    "mlp16-seed1": (
+        (30, 0.6244271155156437, 0.01695030251341545),
+        (37, 0.5533341954265509, 0.016267519424951745),
+        (45, 0.6563049914048172, 0.019818311585163007),
+        (55, 0.5244548003480247, 0.010813923368463096),
+        (67, 0.5849993402301047, 0.012861706417826135),
+        (82, 0.5124549255965454, 0.027529675771565676),
+        (100, 0.4928516363159377, 0.006341781885407405),
+        (123, 0.45676687315279335, 0.0056802179483692586),
+        (150, 0.5505329002199095, 0.0010822221311377889),
+    ),
+    "mlp8-seed1059036137": (
+        (60, 0.5469297085120117, 0.030620126090253937),
+        (80, 0.4522874103800595, 2.122034047410959e-05),
+        (107, 0.4244646692803866, 0.009609961057120503),
+        (142, 0.3836210350232111, 0.015299283353094354),
+        (190, 0.2964374220639384, 0.028720633958256803),
+        (253, 0.2621616968212526, 0.0014476790482094715),
+        (337, 0.2303225384520782, 0.008391668801029262),
+        (450, 0.2275621349872039, 0.007102199736801386),
+        (600, 0.16897933740790894, 0.008142059821789558),
+    ),
+    "noise-wide-weights": (
+        (112, 0.4510732932102748, 0.0002482252303503145),
+        (176, 0.6489871368198694, 0.014673342870668987),
+        (278, 0.25983408447320067, 0.016506275379026113),
+        (437, 0.5960418886107949, 0.03947661746204624),
+        (688, 0.35982410333136117, 0.037786768267421895),
+        (1082, 0.9657777119255175, 0.03826946487597766),
+        (1704, 0.5035822384933555, 0.0),
+        (2682, 0.8737935589864498, 0.04022521415775748),
+        (4221, 0.324008098625466, 0.0),
+        (6644, 0.17608348247565658, 0.03353282701147493),
+        (10459, 0.22903979906768257, 0.0010434611406906684),
+    ),
+}
+
+
+class TestNnls:
+    @pytest.mark.parametrize("shape", [(12, 5), (8, 8), (8, 128), (20, 64)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_scipy(self, shape, seed):
+        # every column has a negative first entry and d a positive one, so
+        # d lies outside the cone of M's columns, as in the fit's dual, and
+        # the minimiser is unique
+        rng = np.random.default_rng(seed)
+        M = rng.normal(size=shape)
+        M[0] = -np.abs(M[0])
+        d = 10.0 * rng.normal(size=shape[0])
+        d[0] = abs(d[0])
+        nu, resid = _nnls(M, d)
+        ref, _ = optimize.nnls(M, d)
+        assert np.all(nu >= 0.0)
+        assert np.allclose(nu, ref, rtol=1e-9, atol=1e-9)
+        assert np.allclose(resid, d - M @ ref, rtol=1e-9, atol=1e-9)
+
+
 class TestMonotonePolynomial:
+    @pytest.mark.parametrize("name", sorted(HARD_CURVES))
+    def test_hard_curve_meets_constraints(self, name):
+        n, u, se = (np.array(col) for col in zip(*HARD_CURVES[name]))
+        model = fit_monotone_polynomial(make_curve(n, u, se))
+        d1, d2 = _energy_slopes(model, model.constraint_grid)
+        assert model.constraints_active
+        assert d1.max() <= CONSTRAINT_TOL
+        assert d2.max() <= CONSTRAINT_TOL
+
     def one_over_n_model(self):
         n = np.geomspace(50, 5000, 15).round().astype(int)
         return n, fit_monotone_polynomial(make_curve(n, 1.0 / n))
