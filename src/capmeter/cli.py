@@ -553,6 +553,9 @@ def cmd_compare(args) -> int:
 def cmd_sgld(args) -> int:
     if args.learner not in ("quadratic", "logistic", "mlp"):
         raise ConfigError(f"learner not differentiable: {args.learner}")
+    if args.heldout_rows < 1:
+        raise ConfigError(
+            f"--heldout-rows must be >= 1, got {args.heldout_rows}")
     schedule = _parse_ints(args.schedule)
     config = SgldConfig(step_size=args.step, n_schedule=schedule,
                         chains=args.chains, equilibration_epochs=args.equil,

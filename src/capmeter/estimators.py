@@ -89,9 +89,6 @@ class PolynomialEnergyModel:
             raise InvalidArgument("coefficient count must be degree+1")
         c.setflags(write=False)
         object.__setattr__(self, "coeffs", c)
-        d1, d2 = _energy_slopes(self, self.constraint_grid)
-        if np.any(d1 > CONSTRAINT_TOL) or np.any(d2 > CONSTRAINT_TOL):
-            raise InvalidArgument("fitted polynomial violates shape constraints")
 
     def _t(self, n):
         return (np.log(n) - self.center) / self.halfwidth
@@ -182,8 +179,9 @@ def fit_monotone_polynomial(curve: EnergyCurve,
 
     Raises:
         InsufficientPoints: fewer than degree+2 points.
-        SolverFailure: rank-deficient weighted design, or the NNLS dual
-            ran out of its step budget.
+        SolverFailure: rank-deficient weighted design, the NNLS dual ran
+            out of its step budget, or its solution misses a shape
+            constraint by more than CONSTRAINT_TOL.
     """
     if len(curve) < degree + 2:
         raise InsufficientPoints(
@@ -219,11 +217,17 @@ def fit_monotone_polynomial(curve: EnergyCurve,
     coeffs = R_inv @ y
     cov = R_inv @ R_inv.T
     resid = curve.u_mean - A @ coeffs
-    return PolynomialEnergyModel(
+    model = PolynomialEnergyModel(
         coeffs=coeffs, center=center, halfwidth=halfwidth,
         n_min=float(n.min()), n_max=float(n.max()), constraint_grid=grid_n,
         constraints_active=bool(np.any(nu > 0)), covariance=cov,
         residual_rms=float(np.sqrt(np.mean(resid ** 2))), degree=degree)
+    d1, d2 = _energy_slopes(model, grid_n)
+    if np.any(d1 > CONSTRAINT_TOL) or np.any(d2 > CONSTRAINT_TOL):
+        raise SolverFailure(
+            "fitted polynomial violates its shape constraints by "
+            f"{max(d1.max(), d2.max()):.3g}")
+    return model
 
 
 @dataclass(frozen=True)

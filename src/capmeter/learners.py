@@ -182,9 +182,14 @@ class PredictiveModel:
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    mx = np.max(logits, axis=1, keepdims=True)
+    mx = np.max(logits, axis=-1, keepdims=True)
     z = logits - mx
-    return z - np.log(np.sum(np.exp(z), axis=1, keepdims=True))
+    return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+
+
+def _one_hot(labels: np.ndarray, m: int, start: int = 0) -> np.ndarray:
+    """``labels == c`` for the classes ``c = start .. m-1``, on a new last axis."""
+    return labels[..., None] == np.arange(start, m)
 
 
 # ---------------------------------------------------------------------------
@@ -275,8 +280,9 @@ def knn_learner(k: int = 10, alpha: float = 1.0, sigma: float = 1.0) -> KnnLearn
 # multinomial logistic regression
 # ---------------------------------------------------------------------------
 
-def _with_bias(x: np.ndarray) -> np.ndarray:
-    return np.hstack([x, np.ones((x.shape[0], 1))])
+def with_bias(x: np.ndarray) -> np.ndarray:
+    """``x`` with a trailing input column of ones, which the bias multiplies."""
+    return np.concatenate([x, np.ones(x.shape[:-1] + (1,))], axis=-1)
 
 
 def logistic_log_probs(weights: np.ndarray, inputs: np.ndarray) -> np.ndarray:
@@ -285,19 +291,39 @@ def logistic_log_probs(weights: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     ``weights`` has shape (m-1, d+1); class 0 is the reference with logit 0
     and a bias column is appended internally.
     """
-    logits = _with_bias(inputs) @ weights.T
-    full = np.hstack([np.zeros((inputs.shape[0], 1)), logits])
+    return logistic_log_probs_xb(weights, with_bias(inputs))
+
+
+def logistic_log_probs_xb(weights: np.ndarray, xb: np.ndarray) -> np.ndarray:
+    """``logistic_log_probs`` on inputs that already carry the bias column.
+
+    ``weights`` may be a stack (chains, m-1, d+1), with ``xb`` either shared
+    (n, d+1) or one block per chain (chains, n, d+1); the result is then
+    (chains, n, m), each chain's block computed as by its own call.
+    """
+    logits = xb @ np.swapaxes(weights, -1, -2)
+    full = np.concatenate([np.zeros(logits.shape[:-1] + (1,)), logits], axis=-1)
     return _log_softmax(full)
 
 
 def logistic_grad(weights: np.ndarray, inputs: np.ndarray,
                   labels: np.ndarray) -> np.ndarray:
     """Gradient of the mean NLL with respect to the weights (no penalty)."""
-    xb = _with_bias(inputs)
-    p = np.exp(logistic_log_probs(weights, inputs))
-    resid = p[:, 1:].copy()
-    resid[np.arange(labels.size), labels - 1] -= labels > 0
-    return resid.T @ xb / inputs.shape[0]
+    return logistic_grad_xb(weights, with_bias(inputs), labels)
+
+
+def logistic_grad_xb(weights: np.ndarray, xb: np.ndarray,
+                     labels: np.ndarray) -> np.ndarray:
+    """``logistic_grad`` on inputs that already carry the bias column.
+
+    Takes a stack as well: weights (chains, m-1, d+1), inputs (chains, n,
+    d+1) and labels (chains, n) give (chains, m-1, d+1), one matmul per
+    chain and every mean within its chain, so each chain's gradient is
+    bitwise what its own call returns.
+    """
+    p = np.exp(logistic_log_probs_xb(weights, xb))
+    resid = p[..., 1:] - _one_hot(labels, p.shape[-1], start=1)
+    return np.swapaxes(resid, -1, -2) @ xb / xb.shape[-2]
 
 
 class LogisticModel(PredictiveModel):
@@ -328,7 +354,7 @@ class LogisticLearner:
             raise EmptyTrainingSet("logistic regression needs training rows")
         if not dataset.is_classification:
             raise InvalidArgument("logistic learner requires class labels")
-        xb = _with_bias(dataset.inputs[rows])
+        xb = with_bias(dataset.inputs[rows])
         y = dataset.labels[rows]
         w, loss, iters, bad = kernels.logistic_gd(
             xb, y, dataset.m_classes, self.l2, self.lr, self.epochs,
@@ -355,7 +381,7 @@ class LogisticLearner:
         rows = np.zeros((len(jobs), sizes.max()), dtype=np.int64)
         real = np.arange(rows.shape[1]) < sizes[:, None]
         rows[real] = np.concatenate([job.train_rows for job in jobs])
-        xb = _with_bias(dataset.inputs)[rows]
+        xb = with_bias(dataset.inputs)[rows]
         xb[~real] = 0.0
         y = np.where(real, dataset.labels[rows], 0)
         w, _, iters, bad = kernels.logistic_gd_stack(
@@ -400,26 +426,33 @@ def mlp_init(d: int, hidden: int, m: int, seed: int):
 
 
 def mlp_log_probs(params, inputs: np.ndarray) -> np.ndarray:
+    """Log class probabilities; a stack of parameters as in ``mlp_grad``,
+    with ``inputs`` shared (n, d) or one block per chain (chains, n, d)."""
     w1, b1, w2, b2 = params
-    h = np.maximum(inputs @ w1 + b1, 0.0)
-    return _log_softmax(h @ w2 + b2)
+    h = np.maximum(inputs @ w1 + b1[..., None, :], 0.0)
+    return _log_softmax(h @ w2 + b2[..., None, :])
 
 
 def mlp_grad(params, inputs: np.ndarray, labels: np.ndarray):
-    """Mean-NLL gradients for (w1, b1, w2, b2)."""
+    """Mean-NLL gradients for (w1, b1, w2, b2).
+
+    Takes a stack as well: every parameter with a leading chain axis,
+    inputs (chains, n, d) and labels (chains, n).  Products run per chain
+    and sums within a chain, so each chain's gradients are bitwise what
+    its own call returns.
+    """
     w1, b1, w2, b2 = params
-    n = inputs.shape[0]
-    pre = inputs @ w1 + b1
+    n = inputs.shape[-2]
+    pre = inputs @ w1 + b1[..., None, :]
     h = np.maximum(pre, 0.0)
-    p = np.exp(_log_softmax(h @ w2 + b2))
-    delta = p.copy()
-    delta[np.arange(n), labels] -= 1.0
+    p = np.exp(_log_softmax(h @ w2 + b2[..., None, :]))
+    delta = p - _one_hot(labels, p.shape[-1])
     delta /= n
-    g_w2 = h.T @ delta
-    g_b2 = delta.sum(axis=0)
-    back = (delta @ w2.T) * (pre > 0.0)
-    g_w1 = inputs.T @ back
-    g_b1 = back.sum(axis=0)
+    g_w2 = np.swapaxes(h, -1, -2) @ delta
+    g_b2 = delta.sum(axis=-2)
+    back = (delta @ np.swapaxes(w2, -1, -2)) * (pre > 0.0)
+    g_w1 = np.swapaxes(inputs, -1, -2) @ back
+    g_b1 = back.sum(axis=-2)
     return g_w1, g_b1, g_w2, g_b2
 
 

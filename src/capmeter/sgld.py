@@ -5,10 +5,20 @@ mean-loss) + log prior``.  Average energy is read out on held-out rows in
 probability-complement form, ``mean(1 - p)``, which stays inside [0, 1]
 regardless of how confident the sampled weights are; capacity follows from
 differencing the readout at two schedule points.
+
+``run_incremental_protocol`` advances the live chains of a schedule point
+together.  Chains whose pools hold equally many rows form one
+``(chains, dim)`` state that takes one gradient call per minibatch, each
+chain with its own minibatch order and its own noise stream, so every
+trajectory is bitwise the one ``sgld_step`` would take.  Quadratic chains
+whose pool fits one batch run in the fused kernel instead.  The held-out
+readout scores every sample of every chain at a schedule point in one
+``heldout_means`` call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,10 +36,11 @@ from .errors import (
 from .estimators import CapacityEstimate
 from .learners import (
     Dataset,
-    logistic_grad,
-    logistic_log_probs,
+    logistic_grad_xb,
+    logistic_log_probs_xb,
     mlp_grad,
     mlp_log_probs,
+    with_bias,
 )
 from .oracle import PriorKind
 from .protocol import EnergyCurve, EnergyRecord, derive_rng
@@ -94,6 +105,13 @@ class SgldConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
+_NON_FINITE = "langevin update produced a non-finite state"
+
+# samples x held-out rows scored per block of the stacked readout, which
+# bounds its (block, rows, width) intermediates
+_HELDOUT_BLOCK = 1 << 16
+
+
 class DifferentiableEnergy:
     """Mean per-row loss with an analytic gradient.
 
@@ -102,7 +120,18 @@ class DifferentiableEnergy:
     one and the driver only has to scale by the nominal sample size.
     ``prob_on_rows`` reports per-row predictive probabilities for the
     held-out readout.
+
+    Each takes one state ``(dim,)`` with its rows ``(b,)``.  An energy that
+    sets ``takes_stacks`` also takes a stack of states ``(chains, dim)`` in
+    ``gradient`` and ``prob_on_rows``, with rows either one set per state
+    ``(chains, b)`` or shared ``(b,)``, and returns one result per state,
+    each bitwise what that state's own call returns.  The sampler then
+    makes one gradient call per minibatch for a whole stack of chains and
+    scores a window in one pass; for other energies it calls them once per
+    state.
     """
+
+    takes_stacks = False
 
     @property
     def dim(self) -> int:
@@ -120,9 +149,21 @@ class DifferentiableEnergy:
     def heldout_means(self, samples: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Per-sample held-out mean of ``1 - p`` for a stack of weights."""
         out = np.empty(samples.shape[0])
+        if self.takes_stacks:
+            block = max(1, _HELDOUT_BLOCK // max(1, np.size(rows)))
+            for start in range(0, out.size, block):
+                p = self.prob_on_rows(samples[start:start + block], rows)
+                out[start:start + block] = 1.0 - p.mean(axis=1)
+            return out
         for i, w in enumerate(samples):
             out[i] = 1.0 - float(self.prob_on_rows(w, rows).mean())
         return out
+
+
+def _label_entries(lp: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Each row's entry at its label from log probabilities (..., rows, m)."""
+    index = np.broadcast_to(labels, lp.shape[:-1])[..., None]
+    return np.take_along_axis(lp, index, axis=-1)[..., 0]
 
 
 class QuadraticEnergy(DifferentiableEnergy):
@@ -168,11 +209,14 @@ class LogisticEnergy(DifferentiableEnergy):
     keeps logit zero and the trailing column multiplies a constant 1.
     """
 
+    takes_stacks = True
+
     def __init__(self, dataset: Dataset):
         if not dataset.is_classification:
             raise InvalidArgument("logistic energy needs a classification dataset")
         self.dataset = dataset
         self._shape = (dataset.m_classes - 1, dataset.feature_dim + 1)
+        self._xb = with_bias(dataset.inputs)
 
     @property
     def dim(self) -> int:
@@ -180,25 +224,29 @@ class LogisticEnergy(DifferentiableEnergy):
 
     def _matrix(self, weights) -> np.ndarray:
         w = np.asarray(weights, dtype=np.float64)
-        if w.size != self.dim:
-            raise InvalidArgument(f"expected {self.dim} weights, got {w.size}")
-        return w.reshape(self._shape)
+        if w.shape[-1:] != (self.dim,):
+            raise InvalidArgument(
+                f"expected {self.dim} weights per state, got shape {w.shape}")
+        return w.reshape(w.shape[:-1] + self._shape)
+
+    def _log_probs(self, weights, rows):
+        return logistic_log_probs_xb(self._matrix(weights), self._xb[rows])
 
     def value(self, weights, rows) -> float:
         rows = np.asarray(rows, dtype=np.int64)
-        lp = logistic_log_probs(self._matrix(weights), self.dataset.inputs[rows])
-        return -float(lp[np.arange(rows.size), self.dataset.labels[rows]].mean())
+        lp = self._log_probs(weights, rows)
+        return -float(_label_entries(lp, self.dataset.labels[rows]).mean())
 
     def gradient(self, weights, rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
-        g = logistic_grad(self._matrix(weights), self.dataset.inputs[rows],
-                          self.dataset.labels[rows])
-        return g.ravel()
+        w = self._matrix(weights)
+        g = logistic_grad_xb(w, self._xb[rows], self.dataset.labels[rows])
+        return g.reshape(w.shape[:-2] + (self.dim,))
 
     def prob_on_rows(self, weights, rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
-        lp = logistic_log_probs(self._matrix(weights), self.dataset.inputs[rows])
-        return np.exp(lp[np.arange(rows.size), self.dataset.labels[rows]])
+        lp = self._log_probs(weights, rows)
+        return np.exp(_label_entries(lp, self.dataset.labels[rows]))
 
 
 class MlpEnergy(DifferentiableEnergy):
@@ -207,6 +255,8 @@ class MlpEnergy(DifferentiableEnergy):
     Weights concatenate (w1, b1, w2, b2) in row-major order, matching the
     shapes ``(d, hidden)``, ``(hidden,)``, ``(hidden, m)``, ``(m,)``.
     """
+
+    takes_stacks = True
 
     def __init__(self, dataset: Dataset, hidden: int):
         if not dataset.is_classification:
@@ -225,30 +275,34 @@ class MlpEnergy(DifferentiableEnergy):
 
     def _unflatten(self, weights):
         w = np.asarray(weights, dtype=np.float64)
-        if w.size != self.dim:
-            raise InvalidArgument(f"expected {self.dim} weights, got {w.size}")
+        if w.shape[-1:] != (self.dim,):
+            raise InvalidArgument(
+                f"expected {self.dim} weights per state, got shape {w.shape}")
+        lead = w.shape[:-1]
         parts = []
         start = 0
         for shape, size in zip(self._shapes, self._sizes):
-            parts.append(w[start:start + size].reshape(shape))
+            parts.append(w[..., start:start + size].reshape(lead + shape))
             start += size
         return tuple(parts)
 
     def value(self, weights, rows) -> float:
         rows = np.asarray(rows, dtype=np.int64)
         lp = mlp_log_probs(self._unflatten(weights), self.dataset.inputs[rows])
-        return -float(lp[np.arange(rows.size), self.dataset.labels[rows]].mean())
+        return -float(_label_entries(lp, self.dataset.labels[rows]).mean())
 
     def gradient(self, weights, rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
-        grads = mlp_grad(self._unflatten(weights), self.dataset.inputs[rows],
+        params = self._unflatten(weights)
+        grads = mlp_grad(params, self.dataset.inputs[rows],
                          self.dataset.labels[rows])
-        return np.concatenate([g.ravel() for g in grads])
+        lead = params[1].shape[:-1]
+        return np.concatenate([g.reshape(lead + (-1,)) for g in grads], axis=-1)
 
     def prob_on_rows(self, weights, rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
         lp = mlp_log_probs(self._unflatten(weights), self.dataset.inputs[rows])
-        return np.exp(lp[np.arange(rows.size), self.dataset.labels[rows]])
+        return np.exp(_label_entries(lp, self.dataset.labels[rows]))
 
 
 def sgld_step(weights, energy: DifferentiableEnergy, rows, sample_size: int,
@@ -273,7 +327,7 @@ def sgld_step(weights, energy: DifferentiableEnergy, rows, sample_size: int,
         g = g + prior_eps * w
     new = w - 0.5 * step_size * g + math.sqrt(step_size) * rng.standard_normal(w.size)
     if not np.all(np.isfinite(new)):
-        raise NonFiniteState("langevin update produced a non-finite state")
+        raise NonFiniteState(_NON_FINITE)
     return new
 
 
@@ -376,25 +430,66 @@ class RowCount:
         return int(self.rows)
 
 
-def _window_generic(energy, w, rows, sample_size, config, noise_rng, shuffle_rng):
-    """Run equilibration plus sampling epochs with per-step updates."""
+def _per_state_gradients(energy, weights, rows):
+    """Gradients of a stack from one ``gradient`` call per state."""
+    out = np.empty_like(weights)
+    for i, (w, r) in enumerate(zip(weights, rows)):
+        out[i] = energy.gradient(w, r)
+    return out
+
+
+def _window_stack(energy, w, pools, sample_size, config, noise_rngs,
+                  shuffle_rngs):
+    """Equilibration plus sampling epochs of chains with equally large pools.
+
+    ``w`` stacks one state per chain, shape (chains, dim), ``pools`` their
+    training rows, shape (chains, rows), and the rng lists hold their
+    noise and shuffle streams in the same order.  Each step repeats the
+    arithmetic of sgld_step on the whole stack: one gradient call, each
+    chain on its own minibatch, and each chain's noise drawn as the epoch
+    starts from its own stream, so every trajectory is bitwise the one
+    sgld_step would take.  A chain whose state leaves the finite domain
+    leaves the stack after that step.  Returns the final states and the
+    samples, shapes (chains, dim) and (samples, chains, dim), and the
+    boolean mask of chains that stayed finite; the rows of dropped chains
+    are not meaningful.
+    """
     m = config.samples_per_window
-    epochs = config.equilibration_epochs + m
+    chains, size = pools.shape
     batch = config.batch_size
-    samples = np.empty((m, w.size))
-    for epoch in range(epochs):
-        if rows.size > batch:
-            order = shuffle_rng.permutation(rows.size)
-            for start in range(0, rows.size, batch):
-                mb = rows[order[start:start + batch]]
-                w = sgld_step(w, energy, mb, sample_size, config.prior,
-                              config.step_size, noise_rng, config.prior_eps)
+    starts = range(0, size, batch)
+    half, scale = 0.5 * config.step_size, math.sqrt(config.step_size)
+    eps = config.prior_eps if config.prior is PriorKind.GAUSSIAN else None
+    gradient = (energy.gradient if energy.takes_stacks
+                else functools.partial(_per_state_gradients, energy))
+    live = np.arange(chains)
+    kept = np.zeros(chains, dtype=bool)
+    final = np.empty_like(w)
+    samples = np.empty((m,) + w.shape)
+    for epoch in range(config.equilibration_epochs + m):
+        if size > batch:
+            order = np.stack([pools[c][shuffle_rngs[c].permutation(size)]
+                              for c in live])
         else:
-            w = sgld_step(w, energy, rows, sample_size, config.prior,
-                          config.step_size, noise_rng, config.prior_eps)
+            order = pools[live]
+        noise = np.stack([noise_rngs[c].standard_normal((len(starts), w.shape[1]))
+                          for c in live], axis=1)
+        for step, start in enumerate(starts):
+            g = sample_size * gradient(w, order[:, start:start + batch])
+            if eps is not None:
+                g = g + eps * w
+            w = w - half * g + scale * noise[step]
+            finite = np.isfinite(w).all(axis=1)
+            if not finite.all():
+                live, w = live[finite], w[finite]
+                order, noise = order[finite], noise[:, finite]
+                if live.size == 0:
+                    return final, samples, kept
         if epoch >= config.equilibration_epochs:
-            samples[epoch - config.equilibration_epochs] = w
-    return w, samples
+            samples[epoch - config.equilibration_epochs, live] = w
+    final[live] = w
+    kept[live] = True
+    return final, samples, kept
 
 
 def _window_quadratic(energy, w, sample_size, config, noise_rngs):
@@ -404,8 +499,9 @@ def _window_quadratic(energy, w, sample_size, config, noise_rngs):
     ``noise_rngs`` holds the chains' noise streams in the same order.  The
     kernel repeats exactly the arithmetic of sgld_step, elementwise, with
     each chain's noise drawn up front from its own stream, so every
-    trajectory is bitwise identical to the generic path.  Returns the final
-    states and the samples, shape (samples, chains, dim).
+    trajectory is bitwise the one sgld_step would take.  Returns the final
+    states and the samples, shapes (chains, dim) and (samples, chains,
+    dim), and the boolean mask of chains whose states all stayed finite.
     """
     m = config.samples_per_window
     steps = config.equilibration_epochs + m
@@ -417,7 +513,8 @@ def _window_quadratic(energy, w, sample_size, config, noise_rngs):
     w = kernels.sgld_chain_diag_quad(
         w, energy.eigenvalues, eps_eff, float(sample_size),
         0.5 * config.step_size, math.sqrt(config.step_size), noise, samples)
-    return w, samples
+    kept = np.isfinite(samples).all(axis=0).all(axis=1) & np.isfinite(w).all(axis=1)
+    return w, samples, kept
 
 
 def run_incremental_protocol(energy: DifferentiableEnergy, dataset,
@@ -448,10 +545,10 @@ def run_incremental_protocol(energy: DifferentiableEnergy, dataset,
 
     blocks = schedule_row_blocks(schedule, k)
     pools = [np.empty(0, dtype=np.int64) for _ in range(k)]
-    states = [np.zeros(energy.dim) for _ in range(k)]
+    states = np.zeros((k, energy.dim))
     noise_rngs = [derive_rng(config.seed, c, 0) for c in range(k)]
     shuffle_rngs = [derive_rng(config.seed, c, 1) for c in range(k)]
-    alive = [True] * k
+    alive = np.ones(k, dtype=bool)
     failures = []
 
     u_mean = np.empty(len(schedule))
@@ -459,50 +556,52 @@ def run_incremental_protocol(energy: DifferentiableEnergy, dataset,
     record_count = np.empty(len(schedule), dtype=np.int64)
     records = []
     window_energies = []
+    m = config.samples_per_window
     for j, n in enumerate(schedule):
-        chain_means = []
-        pooled = []
         for c in range(k):
             pools[c] = np.concatenate([pools[c], blocks[j][c]])
-        live = [c for c in range(k) if alive[c]]
-        # chains whose whole pool fits one batch advance together as one
-        # (chains, dim) state through the fused kernel
-        fused = [c for c in live if isinstance(energy, QuadraticEnergy)
-                 and pools[c].size <= config.batch_size]
-        windows = {}
-        if fused:
-            final, samples = _window_quadratic(
-                energy, np.stack([states[c] for c in fused]), n, config,
-                [noise_rngs[c] for c in fused])
-            windows = {c: (final[i], np.ascontiguousarray(samples[:, i]))
-                       for i, c in enumerate(fused)}
-        for c in live:
-            try:
-                if c in windows:
-                    state, samples = windows[c]
-                    if not (np.all(np.isfinite(samples))
-                            and np.all(np.isfinite(state))):
-                        raise NonFiniteState(
-                            "langevin update produced a non-finite state")
-                else:
-                    state, samples = _window_generic(
-                        energy, states[c], pools[c], n, config,
-                        noise_rngs[c], shuffle_rngs[c])
-                states[c] = state
-            except NonFiniteState as exc:
+        samples = np.empty((k, m, energy.dim))
+        ok = alive.copy()
+        # quadratic chains whose whole pool fits one batch advance together
+        # through the fused kernel; the others in stacks of chains with
+        # equally large pools
+        stacks = {}
+        for c in np.flatnonzero(alive):
+            fused = (isinstance(energy, QuadraticEnergy)
+                     and pools[c].size <= config.batch_size)
+            stacks.setdefault(None if fused else pools[c].size, []).append(c)
+        for size, group in stacks.items():
+            if size is None:
+                final, part, kept = _window_quadratic(
+                    energy, states[group], n, config,
+                    [noise_rngs[c] for c in group])
+            else:
+                final, part, kept = _window_stack(
+                    energy, states[group], np.stack([pools[c] for c in group]),
+                    n, config, [noise_rngs[c] for c in group],
+                    [shuffle_rngs[c] for c in group])
+            states[group] = final
+            samples[group] = part.transpose(1, 0, 2)
+            ok[group] = kept
+        done = np.flatnonzero(ok)
+        scored = energy.heldout_means(samples[done].reshape(-1, energy.dim),
+                                      heldout)
+        energies = dict(zip(done, scored.reshape(done.size, m)))
+        chain_means = []
+        for c in np.flatnonzero(alive):
+            if not ok[c]:
                 alive[c] = False
-                failures.append(ChainFailure(chain=c, sample_size=int(n),
-                                             detail=str(exc)))
+                failures.append(ChainFailure(chain=int(c), sample_size=int(n),
+                                             detail=_NON_FINITE))
                 continue
-            e = energy.heldout_means(samples, heldout)
-            pooled.append(e)
+            e = energies[c]
             chain_means.append(float(e.mean()))
             records.append(EnergyRecord(
-                dataset_id=dataset_id, sample_size=int(n), boot_index=c,
+                dataset_id=dataset_id, sample_size=int(n), boot_index=int(c),
                 fold_index=0, seed_index=0,
                 nll_sum=float(e.sum() * heldout.size),
                 heldout_count=int(e.size * heldout.size)))
-        survivors = sum(alive)
+        survivors = int(alive.sum())
         if 2 * survivors < k:
             raise NonFiniteState(
                 f"only {survivors} of {k} chains survived to sample size {n}: "
@@ -512,7 +611,7 @@ def run_incremental_protocol(energy: DifferentiableEnergy, dataset,
         u_stderr[j] = (means.std(ddof=1) / math.sqrt(means.size)
                        if means.size > 1 else 0.0)
         record_count[j] = means.size
-        window_energies.append(np.concatenate(pooled))
+        window_energies.append(scored)
 
     capacities = tuple(
         _capacity_from_window_energies(window_energies[j], window_energies[j + 1],

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import capmeter.estimators
 from capmeter import cli
 from capmeter.errors import ConfigError
 from capmeter.oracle import HessianSpectrum, pacbayes_bound, save_spectrum
@@ -219,6 +220,25 @@ class TestFit:
                          "--out", str(tmp_path / "f")])
         assert code == 4
         assert "DegenerateCurve" in capsys.readouterr().err
+
+    def test_constraint_violating_solution_exits_4(self, tmp_path, capsys,
+                                                   monkeypatch):
+        # zero multipliers make the dual's solution the unconstrained fit,
+        # which rises with N on this rising curve
+        def no_constraints(M, d):
+            return np.zeros(M.shape[1]), d
+
+        monkeypatch.setattr(capmeter.estimators, "_nnls", no_constraints)
+        n = np.rint(np.geomspace(50, 5000, 15)).astype(np.int64)
+        curve = tmp_path / "rising.csv"
+        write_curve_file(curve, n, np.linspace(0.1, 0.5, n.size),
+                         np.full(n.size, 0.01))
+        code = cli.main(["fit", str(curve), "--method", "poly",
+                         "--out", str(tmp_path / "f")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "SolverFailure" in err
+        assert "violates its shape constraints" in err
 
     def test_params_below_one_exits_2_before_fitting(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -435,6 +455,17 @@ class TestSgld:
                          "--chains", "2", "--out", str(tmp_path / "s")])
         assert code == 2
         assert "ScheduleExhaustsData" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("rows", ["0", "-5"])
+    def test_heldout_rows_below_one_exits_2(self, tmp_path, capsys, rows):
+        code = cli.main(["sgld", "--learner", "logistic",
+                         "--synthetic", "d=2,seed=1", "--schedule", "8,16",
+                         "--step", "0.01", "--chains", "2",
+                         "--heldout-rows", rows, "--out", str(tmp_path / "s")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"--heldout-rows must be >= 1, got {rows}" in err
+        assert not (tmp_path / "s").exists()
 
     def test_majority_chain_failure_exits_3(self, tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -18,8 +18,10 @@ from capmeter.errors import (
     NonFiniteState,
     ScheduleExhaustsData,
 )
+import capmeter.sgld
 from capmeter.learners import REGRESSION, Dataset, SyntheticConfig, gen_synthetic
 from capmeter.oracle import HessianSpectrum, PriorKind, quad_log_z
+from capmeter.protocol import EnergyRecord, derive_rng
 from capmeter.sgld import (
     ChainFailure,
     DifferentiableEnergy,
@@ -615,3 +617,190 @@ class TestIncrementalProtocol:
                          equilibration_epochs=5, samples_per_window=5, seed=0)
         with pytest.raises(NonFiniteState):
             run_incremental_protocol(AlwaysFails(), RowCount(9), cfg)
+
+
+def _reference_heldout_means(energy, samples, rows):
+    """The held-out readout one weight sample at a time."""
+    return np.array([1.0 - float(energy.prob_on_rows(w, rows).mean())
+                     for w in samples])
+
+
+def _reference_protocol(energy, dataset, config, dataset_id="sgld"):
+    """run_incremental_protocol for energies outside the fused kernel, one
+    sgld_step per minibatch and chain, chain after chain, and one
+    prob_on_rows call per held-out sample."""
+    schedule, k = config.n_schedule, config.chains
+    batch, m = config.batch_size, config.samples_per_window
+    heldout = np.arange(schedule[-1], dataset.n_rows)
+    blocks = schedule_row_blocks(schedule, k)
+    pools = [np.empty(0, dtype=np.int64)] * k
+    states = [np.zeros(energy.dim) for _ in range(k)]
+    noise_rngs = [derive_rng(config.seed, c, 0) for c in range(k)]
+    shuffle_rngs = [derive_rng(config.seed, c, 1) for c in range(k)]
+    alive = [True] * k
+    failures, records, u_mean, u_stderr, windows = [], [], [], [], []
+    for j, n in enumerate(schedule):
+        chain_means, pooled = [], []
+        for c in range(k):
+            pools[c] = np.concatenate([pools[c], blocks[j][c]])
+            if not alive[c]:
+                continue
+            w, samples = states[c], []
+            try:
+                for epoch in range(config.equilibration_epochs + m):
+                    rows = pools[c]
+                    if rows.size > batch:
+                        rows = rows[shuffle_rngs[c].permutation(rows.size)]
+                    for start in range(0, rows.size, batch):
+                        w = sgld_step(w, energy, rows[start:start + batch], n,
+                                      config.prior, config.step_size,
+                                      noise_rngs[c], config.prior_eps)
+                    if epoch >= config.equilibration_epochs:
+                        samples.append(w)
+            except NonFiniteState as exc:
+                alive[c] = False
+                failures.append(ChainFailure(chain=c, sample_size=n,
+                                             detail=str(exc)))
+                continue
+            states[c] = w
+            e = _reference_heldout_means(energy, np.array(samples), heldout)
+            pooled.append(e)
+            chain_means.append(float(e.mean()))
+            records.append(EnergyRecord(
+                dataset_id=dataset_id, sample_size=n, boot_index=c,
+                fold_index=0, seed_index=0,
+                nll_sum=float(e.sum() * heldout.size),
+                heldout_count=int(e.size * heldout.size)))
+        if 2 * sum(alive) < k:
+            raise NonFiniteState(
+                f"only {sum(alive)} of {k} chains survived to sample size {n}: "
+                + "; ".join(f"chain {f.chain} at N={f.sample_size}"
+                            for f in failures))
+        means = np.asarray(chain_means)
+        u_mean.append(means.mean())
+        u_stderr.append(means.std(ddof=1) / math.sqrt(means.size)
+                        if means.size > 1 else 0.0)
+        windows.append(np.concatenate(pooled))
+    capacities = tuple(
+        capmeter.sgld._capacity_from_window_energies(
+            windows[j], windows[j + 1], schedule[j], schedule[j + 1] - schedule[j])
+        for j in range(len(schedule) - 1))
+    return failures, records, u_mean, u_stderr, capacities
+
+
+def assert_matches_reference(result, reference):
+    failures, records, u_mean, u_stderr, capacities = reference
+    assert result.failures == tuple(failures)
+    assert result.records == tuple(records)
+    assert result.capacities == capacities
+    np.testing.assert_array_equal(result.curve.u_mean, u_mean)
+    np.testing.assert_array_equal(result.curve.u_stderr, u_stderr)
+
+
+def logistic_energy():
+    # three classes, so each state is a (2, d+1) weight matrix
+    cfg = SyntheticConfig(d=3, kappa=0.5, m_classes=3, seed=2)
+    return LogisticEnergy(gen_synthetic(cfg, 110))
+
+
+def mlp_energy():
+    return MlpEnergy(gen_synthetic(SyntheticConfig(d=3, kappa=0.5, seed=4), 110),
+                     hidden=4)
+
+
+class PoisonedLogistic(LogisticEnergy):
+    """Logistic energy with an infinite gradient on minibatches that hold
+    one of ``bad_rows``, so the chain owning such a row fails part-way
+    through the window that admits it."""
+
+    def __init__(self, dataset, bad_rows):
+        super().__init__(dataset)
+        self.bad_rows = np.asarray(bad_rows)
+
+    def gradient(self, weights, rows):
+        g = super().gradient(weights, rows)
+        hit = np.isin(np.asarray(rows), self.bad_rows).any(axis=-1)
+        return np.where(hit[..., None], np.inf, g)
+
+
+class TestStackedWindow:
+    """The stacked window and readout against the per-step reference."""
+
+    @pytest.mark.parametrize("make_energy", [logistic_energy, mlp_energy],
+                             ids=["logistic", "mlp"])
+    @pytest.mark.parametrize("prior", list(PriorKind), ids=lambda p: p.name)
+    @pytest.mark.parametrize("schedule, batch", [
+        # pools of 14, 13, 13 then 30 rows: minibatched, with a short last
+        # minibatch, and two stacks at the first point
+        ((40, 90), 7),
+        # pools of 4, 3, 3 then 9, 8, 8 rows, each pool one batch
+        ((10, 25), 64),
+    ], ids=["minibatched", "one-batch"])
+    def test_matches_per_step_reference(self, make_energy, prior, schedule,
+                                        batch):
+        energy = make_energy()
+        cfg = SgldConfig(step_size=1e-3, n_schedule=schedule, chains=3,
+                         equilibration_epochs=5, samples_per_window=7,
+                         batch_size=batch, prior=prior, prior_eps=2.0, seed=4)
+        result = run_incremental_protocol(energy, energy.dataset, cfg)
+        reference = _reference_protocol(energy, energy.dataset, cfg)
+        assert_matches_reference(result, reference)
+        assert list(result.curve.record_count) == [3, 3]
+
+    def config(self):
+        # row 12 reaches chain 0 and row 13 chain 1 at N=24, where each
+        # chain's pool holds 8 rows, dealt in minibatches of 4, and all three
+        # chains share one stack
+        return SgldConfig(step_size=1e-3, n_schedule=(9, 24, 39), chains=3,
+                          equilibration_epochs=5, samples_per_window=7,
+                          batch_size=4, seed=1)
+
+    def test_chain_going_non_finite_mid_window(self):
+        data = logistic_energy().dataset
+        energy = PoisonedLogistic(data, [12])
+        with np.errstate(invalid="ignore"):
+            result = run_incremental_protocol(energy, data, self.config())
+            reference = _reference_protocol(energy, data, self.config())
+        assert result.failures == (ChainFailure(
+            chain=0, sample_size=24,
+            detail="langevin update produced a non-finite state"),)
+        assert list(result.curve.record_count) == [3, 2, 2]
+        assert_matches_reference(result, reference)
+
+    def test_majority_going_non_finite_aborts_as_reference(self):
+        data = logistic_energy().dataset
+        energy = PoisonedLogistic(data, [12, 13])
+        with np.errstate(invalid="ignore"):
+            with pytest.raises(NonFiniteState) as got:
+                run_incremental_protocol(energy, data, self.config())
+            with pytest.raises(NonFiniteState) as want:
+                _reference_protocol(energy, data, self.config())
+        assert str(got.value) == str(want.value) == (
+            "only 1 of 3 chains survived to sample size 24: "
+            "chain 0 at N=24; chain 1 at N=24")
+
+    @pytest.mark.parametrize("make_energy", [logistic_energy, mlp_energy],
+                             ids=["logistic", "mlp"])
+    def test_stacked_gradient_matches_per_state_calls(self, make_energy):
+        energy = make_energy()
+        rng = np.random.default_rng(3)
+        weights = rng.standard_normal((5, energy.dim))
+        rows = rng.integers(0, 110, size=(5, 9))
+        want = np.stack([energy.gradient(w, r) for w, r in zip(weights, rows)])
+        np.testing.assert_array_equal(energy.gradient(weights, rows), want)
+
+    @pytest.mark.parametrize("make_energy", [logistic_energy, mlp_energy],
+                             ids=["logistic", "mlp"])
+    @pytest.mark.parametrize("block", [1 << 16, 50], ids=["one-block", "blocks"])
+    def test_stacked_readout_matches_per_sample_loop(self, make_energy, block,
+                                                     monkeypatch):
+        # a block of 50 sample-rows scores the 23 samples on 20 rows in
+        # eleven blocks of two and a last block of one
+        monkeypatch.setattr(capmeter.sgld, "_HELDOUT_BLOCK", block)
+        energy = make_energy()
+        rng = np.random.default_rng(8)
+        samples = rng.standard_normal((23, energy.dim))
+        rows = np.arange(90, 110)
+        np.testing.assert_array_equal(
+            energy.heldout_means(samples, rows),
+            _reference_heldout_means(energy, samples, rows))
