@@ -317,13 +317,17 @@ def _sigmoid_section(model, curve):
     for n in curve.n:
         point = capacity_from_sigmoid(model, float(n))
         by_n.append({"n": int(n), "value": point.value, "stderr": point.stderr})
+    lo, hi = model.n_star_interval
     return {
         "a": model.a, "b": model.b, "c": model.c, "u_inf": model.u_inf,
         "stderr": {"a": float(stderrs[0]), "b": float(stderrs[1]),
                    "c": float(stderrs[2]), "u_inf": float(stderrs[3])},
         "covariance": model.covariance,
         "residual_rms": model.residual_rms,
+        "identified": model.identified,
         "n_star": n_star,
+        "n_star_interval": [lo if lo > 0.0 else None,
+                            hi if np.isfinite(hi) else None],
         "guidance": guidance_tag,
         "capacity_at_n_max": {"value": cap.value, "stderr": cap.stderr},
         "capacity_by_n": by_n,
@@ -390,9 +394,13 @@ def cmd_fit(args) -> int:
         for i, row in enumerate(np.asarray(sigmoid["covariance"])):
             fields.append((f"sigmoid.cov.{i}",
                            " ".join(repr(float(v)) for v in row)))
+        fields.append(("sigmoid.identified", sigmoid["identified"]))
         fields.append(("sigmoid.n_star",
                        "undefined" if sigmoid["n_star"] is None
                        else sigmoid["n_star"]))
+        fields.append(("sigmoid.n_star_interval", " ".join(
+            "open" if end is None else repr(end)
+            for end in sigmoid["n_star_interval"])))
         fields.append(("sigmoid.guidance", sigmoid["guidance"]))
         fields.append(("sigmoid.capacity_at_n_max",
                        sigmoid["capacity_at_n_max"]["value"]))

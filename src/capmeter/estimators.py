@@ -7,12 +7,16 @@ Two fitted forms:
   enforced on a dense log grid and solved as a quadratic program through
   its non-negative least-squares (NNLS) dual;
 * the four-parameter sigmoid capacity model C(N) = a/(1+exp(-c log N + b)),
-  fitted through its integrated energy by Levenberg-Marquardt.
+  fitted through its integrated energy by variable projection: (a, u_inf)
+  enter linearly and are solved in closed form, and the shape
+  (log n*, log c) is searched on a fixed grid, then polished by a damped
+  Newton method.
 
 Derived readouts: capacity at a given N, the freezing threshold n* where
-C reaches a/2 (with a data-vs-architecture guidance tag), Kendall's tau-b
-for cross-model rank agreement, and an ordinary least-squares
-capacity-loss regression with a slope p-value.
+C reaches a/2 (with a data-vs-architecture guidance tag, undetermined when
+the profile in log n* leaves n* open), Kendall's tau-b for cross-model rank
+agreement, and an ordinary least-squares capacity-loss regression with a
+slope p-value.
 """
 
 import enum
@@ -267,7 +271,12 @@ def capacity_from_polynomial(model: PolynomialEnergyModel,
 
 @dataclass(frozen=True)
 class SigmoidCapacityModel:
-    """C(N) = a / (1 + exp(-c log N + b)) plus an energy offset u_inf."""
+    """C(N) = a / (1 + exp(-c log N + b)) plus an energy offset u_inf.
+
+    ``identified`` is False when the data do not place the threshold
+    n* = exp(b/c); ``n_star_interval`` is the profile interval for n*, with
+    0 or inf at an end the profile leaves open.
+    """
 
     a: float
     b: float
@@ -275,6 +284,8 @@ class SigmoidCapacityModel:
     u_inf: float
     covariance: np.ndarray
     residual_rms: float
+    identified: bool = True
+    n_star_interval: tuple = (0.0, math.inf)
 
     def __post_init__(self):
         if not all(np.isfinite(v) for v in (self.a, self.b, self.c, self.u_inf)):
@@ -287,11 +298,13 @@ class SigmoidCapacityModel:
         cov = (cov + cov.T) / 2.0
         cov.setflags(write=False)
         object.__setattr__(self, "covariance", cov)
+        lo, hi = (float(v) for v in self.n_star_interval)
+        if not 0.0 <= lo <= hi:
+            raise InvalidArgument("n_star_interval must satisfy 0 <= lo <= hi")
+        object.__setattr__(self, "n_star_interval", (lo, hi))
 
     def capacity(self, n):
-        # overflow in exp only drives the result toward the correct limit 0
-        with np.errstate(over="ignore"):
-            return self.a / (1.0 + np.exp(-self.c * np.log(n) + self.b))
+        return self.a * special.expit(self.c * np.log(n) - self.b)
 
 
 def energy_from_sigmoid(model: SigmoidCapacityModel, n: float) -> float:
@@ -311,7 +324,8 @@ def energy_from_sigmoid(model: SigmoidCapacityModel, n: float) -> float:
 # z = 2 and through its expansion in 1/z beyond, whose terms then shrink by
 # a factor of at least 2: 56 terms leave less than 2**-56 of the sum.
 _LOG_Z_SPLIT = math.log(2.0)
-_INVERSE_TERMS = 56
+_INVERSE_J = np.arange(1.0, 57.0)
+_INVERSE_SIGN = 1.0 - 2.0 * (_INVERSE_J % 2.0)
 
 
 def _sigmoid_tail(a: float, b: float, c: float, n):
@@ -349,12 +363,12 @@ def _hyp2f1_tail(log_z, beta: float) -> np.ndarray:
     out[low] = (special.hyp2f1(1.0, 1.0, 1.0 + beta, special.expit(x))
                 * special.expit(-x))
     x = log_z[~low]
-    j = np.arange(1.0, _INVERSE_TERMS + 1.0)
-    m = float(np.round(beta))
+    j = _INVERSE_J
+    m = float(round(beta))
     eps = beta - m
     # the j = m term is summed with the pole below, so its slot holds 0
-    coef = beta * (1.0 - 2.0 * (j % 2.0)) / np.where(j == m, np.inf, j - beta)
-    series = np.exp(-np.outer(x, j)) @ coef
+    coef = beta * _INVERSE_SIGN / np.where(j == m, np.inf, j - beta)
+    series = np.exp(-x[:, None] * j) @ coef
     if m == 0.0:
         lead = np.exp(-beta * x) * (np.pi * beta / np.sin(np.pi * beta))
     else:
@@ -375,156 +389,301 @@ def _pi_csc_minus_inverse(eps: float) -> float:
     return math.pi / math.sin(math.pi * eps) - 1.0 / eps
 
 
-def _default_starts(curve: EnergyCurve):
-    """Eight deterministic (a, b, c, u_inf) initializations.
+# The variable-projection fit searches (log n*, log c) on a fixed grid:
+# log n* over the curve's log N range widened by _GRID_PAD on each side, and
+# log c over [2^-5, 2^7], which holds the c = 45 of a transition inside a
+# factor of 1.2 in N.  c stays in that range, the bound of the model: at
+# c = 2^-5 the capacity climbs from 12% to 88% of a over a factor of e^128
+# in N.  The polish may take log n* off the grid.
+_GRID_ROWS = 41
+_GRID_PAD = 3.0
+_GRID_LOG_C = np.linspace(-5.0, 7.0, 25) * math.log(2.0)
+_POLISH_STEPS = 40
+# difference steps: in log c for the tail's column, in both shape
+# parameters for the Hessian
+_LOG_C_STEP = 1e-5
+_HESSIAN_STEP = 1e-4
+# below z = 1/2 the slope is summed in a form free of cancellation
+_LOG_Z_SMALL = -math.log(2.0)
+# a tail whose weighted spread is below this fraction of its mean is flat to
+# rounding and carries no shape
+_FLAT_TAIL = 1e-8
+# singular-value ratio of the column-scaled Jacobian below which the normal
+# matrix counts as singular
+_SINGULAR = 1e-8
+_CHI2_1_95 = 3.841458820694124
 
-    Capacity scale a0 comes from N^2 |dU/dN| at the smallest and largest
-    gaps; the sigmoid midpoint is placed at the grid's geometric mean or
-    the geometric mean of its upper half, with slope c0 in {0.5, 2}.
+
+def _tail_slope(log_z, beta: float, tail) -> np.ndarray:
+    """z dF/dz for F = 2F1(1, beta; 1+beta; -z), given ``tail`` = F.
+
+    z dF/dz = beta (1/(1+z) - F).  Where z < 1/2 the two terms nearly
+    cancel, and the slope is summed as
+    -beta z/(1+beta) 2F1(2, 1+beta; 2+beta; -z) instead.
     """
-    n = curve.n.astype(np.float64)
-    u = curve.u_mean
-    first = np.sqrt(n[0] * n[1]) ** 2 * abs(u[1] - u[0]) / (n[1] - n[0])
-    last = np.sqrt(n[-2] * n[-1]) ** 2 * abs(u[-1] - u[-2]) / (n[-1] - n[-2])
-    a_candidates = [max(first, 1e-3), max(last, 1e-3)]
-    mid_all = float(np.exp(np.mean(np.log(n))))
-    upper = n[n >= np.median(n)]
-    mid_upper = float(np.exp(np.mean(np.log(upper))))
-    u_inf0 = float(np.min(u))
-    starts = []
-    for a0 in a_candidates:
-        for c0 in (0.5, 2.0):
-            for mid in (mid_all, mid_upper):
-                starts.append((a0, c0 * np.log(mid), c0, u_inf0))
-    return starts
+    log_z = np.asarray(log_z, dtype=np.float64)
+    slope = beta * (special.expit(-log_z) - tail)
+    small = log_z < _LOG_Z_SMALL
+    z = np.exp(log_z[small])
+    slope[small] = (-beta / (1.0 + beta) * z
+                    * special.hyp2f1(2.0, 1.0 + beta, 2.0 + beta, -z))
+    return slope
 
 
-def _lm_single_start(n, y, sigma, theta0, max_iter=500):
-    """Levenberg-Marquardt on internal parameters (log a, b, log c, u_inf).
+def _linear_profile(t, y, w):
+    """Best u_inf + a t with a >= 0, by weighted least squares per row of t.
 
-    Returns (theta, cost, jacobian) or None if the start went non-finite.
+    Returns (a, u_inf, weighted cost), one entry per row.
     """
+    t = np.atleast_2d(t)
+    total = w.sum()
+    t_bar = t @ w / total
+    y_bar = w @ y / total
+    dt = t - t_bar[:, None]
+    dy = y - y_bar
+    stt = (dt * dt) @ w
+    shaped = stt > (_FLAT_TAIL * t_bar) ** 2 * total
+    a = np.where(shaped, np.maximum(dt @ (w * dy), 0.0)
+                 / np.where(shaped, stt, 1.0), 0.0)
+    r = dy - a[:, None] * dt
+    return a, y_bar - a * t_bar, (r * r) @ w
 
-    def predict(theta):
-        alpha, b, gamma, u_inf = theta
-        tails = _sigmoid_tail(1.0, b, np.exp(gamma), n)
-        return u_inf + np.exp(alpha) * tails, tails
 
-    def jacobian(theta, tails):
-        alpha, b, gamma, u_inf = theta
-        a, c = np.exp(alpha), np.exp(gamma)
-        J = np.empty((n.size, 4))
-        J[:, 0] = a * tails  # d/d alpha = a * d/d a
-        J[:, 3] = 1.0
-        hb = 1e-6 * max(1.0, abs(b))
-        tb_hi = _sigmoid_tail(a, b + hb, c, n)
-        tb_lo = _sigmoid_tail(a, b - hb, c, n)
-        J[:, 1] = (tb_hi - tb_lo) / (2 * hb)
-        hg = 1e-6
-        tg_hi = _sigmoid_tail(a, b, np.exp(gamma + hg), n)
-        tg_lo = _sigmoid_tail(a, b, np.exp(gamma - hg), n)
-        J[:, 2] = (tg_hi - tg_lo) / (2 * hg)
-        return J
+class _Shape:
+    """One shape (log n*, log c) on a curve: the tail t(N) = F/N, the best
+    linear pair (a, u_inf) and their weighted cost."""
 
-    theta = np.asarray(theta0, dtype=np.float64)
-    pred, tails = predict(theta)
-    resid = (y - pred) / sigma
-    cost = float(resid @ resid)
-    if not np.isfinite(cost):
-        return None
-    mu = None
-    J = None
-    for _ in range(max_iter):
-        J = jacobian(theta, tails) / sigma[:, None]
-        H = J.T @ J
-        g = J.T @ resid
-        if mu is None:
-            mu = 1e-3 * max(float(np.max(np.diag(H))), 1e-12)
-        accepted = False
-        for _ in range(60):
-            try:
-                delta = np.linalg.solve(H + mu * np.eye(4), g)
-            except np.linalg.LinAlgError:
-                delta = np.linalg.lstsq(H + mu * np.eye(4), g, rcond=None)[0]
-            trial = theta + delta
-            # keep exp() parameters in a sane range
-            trial[0] = np.clip(trial[0], -50.0, 50.0)
-            trial[2] = np.clip(trial[2], -50.0, 50.0)
-            pred_t, tails_t = predict(trial)
-            resid_t = (y - pred_t) / sigma
-            cost_t = float(resid_t @ resid_t)
-            if np.isfinite(cost_t) and cost_t <= cost:
-                rel = (cost - cost_t) / max(cost, 1e-300)
-                theta, pred, tails, resid = trial, pred_t, tails_t, resid_t
-                cost = cost_t
-                mu = max(mu / 10.0, 1e-15)
-                accepted = True
-                converged = rel < 1e-10
-                break
-            mu *= 10.0
-            if mu > 1e18:
-                break
-        if not accepted or converged:
+    def __init__(self, theta, x, y, w):
+        self.theta = np.asarray(theta, dtype=np.float64)
+        self.x, self.y, self.w = x, y, w
+        self.c = math.exp(self.theta[1])
+        self.log_z = self.c * (self.theta[0] - x)
+        self.tail = _hyp2f1_tail(self.log_z, 1.0 / self.c)
+        self.t = self.tail * np.exp(-x)
+        a, u_inf, cost = _linear_profile(self.t, y, w)
+        self.a, self.u_inf, self.cost = float(a[0]), float(u_inf[0]), float(cost[0])
+
+    def moved(self, theta):
+        return _Shape(theta, self.x, self.y, self.w)
+
+    def columns(self):
+        """dt/d log n* and dt/d log c, as an (N, 2) array.
+
+        The log n* column is analytic.  For log c, F = 1/(1+z) + E with
+        E = -c z dF/dz: the first term is differentiated exactly and E, which
+        the small-z slope gives to full relative precision, by a central
+        difference.
+        """
+        ell, gamma = self.theta
+        x, c = self.x, self.c
+        slope = _tail_slope(self.log_z, 1.0 / c, self.tail)
+
+        def excess(g):
+            cg = math.exp(g)
+            log_z = cg * (ell - x)
+            return -cg * _tail_slope(log_z, 1.0 / cg, _hyp2f1_tail(log_z, 1.0 / cg))
+
+        d_excess = (excess(gamma + _LOG_C_STEP)
+                    - excess(gamma - _LOG_C_STEP)) / (2.0 * _LOG_C_STEP)
+        d_step = (-special.expit(self.log_z) * special.expit(-self.log_z)
+                  * self.log_z)
+        return (np.column_stack([c * slope, d_step + d_excess])
+                * np.exp(-x)[:, None])
+
+    def gradient(self):
+        """Gradient of the profiled cost: the residual is orthogonal to
+        (1, t), so (a, u_inf) contribute nothing (Golub and Pereyra 1973)."""
+        resid = self.y - self.u_inf - self.a * self.t
+        return -2.0 * self.a * (self.columns().T @ (self.w * resid))
+
+
+def _polish(shape, lo, hi, tol=0.0, floor=-math.inf):
+    """Damped Newton on the profiled cost over (log n*, log c).
+
+    The shape stays inside the box [lo, hi]; a coordinate with lo == hi is
+    held fixed.  The Hessian is a forward difference of the gradient.  A
+    step is damped by mu |diag H| until the damped Hessian is
+    positive definite and the step lowers the cost.  The polish ends when
+    the cost falls by less than max(1e-12 cost, ``tol``), or to ``floor``
+    or below, or when no damping finds a lower cost.
+    """
+    free = np.flatnonzero(lo < hi)
+    mu = 0.0
+    for _ in range(_POLISH_STEPS):
+        if shape.a == 0.0:
             break
-    J = jacobian(theta, tails) / sigma[:, None]
-    return theta, cost, J
+        grad = shape.gradient()
+        hess = np.empty((free.size, free.size))
+        for col, k in enumerate(free):
+            theta = shape.theta.copy()
+            theta[k] += _HESSIAN_STEP
+            hess[:, col] = ((shape.moved(theta).gradient() - grad)[free]
+                            / _HESSIAN_STEP)
+        hess = (hess + hess.T) / 2.0
+        scale = np.diag(np.abs(np.diag(hess)))
+        trial = None
+        while mu <= 1e8:
+            damped = hess + mu * scale
+            if np.linalg.eigvalsh(damped)[0] > 1e-12 * abs(damped).max():
+                theta = shape.theta.copy()
+                theta[free] -= np.linalg.solve(damped, grad[free])
+                trial = shape.moved(np.clip(theta, lo, hi))
+                if trial.cost <= shape.cost:
+                    break
+            trial = None
+            mu = max(10.0 * mu, 1e-4)
+        if trial is None:
+            break
+        # along a valley of negative curvature the damped step is short:
+        # double it while that lowers the cost
+        while True:
+            far = shape.moved(np.clip(2.0 * trial.theta - shape.theta, lo, hi))
+            if not far.cost < trial.cost:
+                break
+            trial = far
+        mu = mu / 10.0 if mu > 1e-3 else 0.0
+        done = (shape.cost - trial.cost <= max(1e-12 * shape.cost, tol)
+                or trial.cost <= floor)
+        shape = trial
+        if done:
+            break
+    return shape
+
+
+def _n_star_interval(rows, profile, ell_hat, level, best, refine):
+    """Profile interval for log n* around the fit at ``ell_hat``.
+
+    ``profile`` holds each grid row's least cost over the log c columns,
+    which can only overstate the profile; ``refine(i)`` returns row i's
+    profile cost polished over log c.  On each side the end is where the
+    profile first crosses ``level`` going out from the fit, interpolated
+    linearly; it is -inf or inf when no row on that side exceeds
+    ``level``.
+    """
+    profile = profile.copy()
+    ends = []
+    for below in (True, False):
+        side = rows < ell_hat if below else rows > ell_hat
+        candidates = np.flatnonzero(side & (profile > level))
+        end = -math.inf if below else math.inf
+        for i in (candidates[::-1] if below else candidates):
+            profile[i] = refine(i)
+            if profile[i] <= level:
+                continue
+            # the next point toward the fit lies at or below the level
+            k = i + 1 if below else i - 1
+            if 0 <= k < rows.size and side[k]:
+                ell_in, p_in = rows[k], profile[k]
+            else:
+                ell_in, p_in = np.clip(ell_hat, rows[0], rows[-1]), best
+            frac = (profile[i] - level) / (profile[i] - p_in)
+            end = float(rows[i] + frac * (ell_in - rows[i]))
+            break
+        ends.append(end)
+    return ends[0], ends[1]
 
 
 def fit_sigmoid_capacity(curve: EnergyCurve, init=None) -> SigmoidCapacityModel:
     """Fit (a, b, c, u_inf) through the integrated sigmoid energy.
 
-    Weighted least squares by Levenberg-Marquardt with a x10/div10 damping
-    ladder, converging on relative cost change < 1e-10 (500 iteration cap).
-    Without an explicit ``init``, 8 deterministic starts are tried and the
-    lowest cost wins (ties break toward the earlier start).  Positivity of
-    a and c is kept by optimizing their logarithms.  The model energy, its
-    finite-difference Jacobian and the final residual are evaluated over
-    the whole N grid at once from the closed-form tail (``_sigmoid_tail``).
+    Weighted least squares by variable projection (Golub and Pereyra 1973):
+    given the shape, parametrised as (log n*, log c) with b = c log n*, the
+    energy u_inf + a T(N) is linear in (a, u_inf), which are solved in
+    closed form with a >= 0.  The profiled cost is evaluated on a fixed
+    grid of shapes, one vectorised tail call per log c column, and the best
+    grid point (or ``init``, given as (a, b, c, u_inf), of which only b and
+    c are used) is polished by a damped Newton method on the two shape
+    parameters.
+
+    The minimum over log c in each log n* row is the profile in log n*;
+    a row that decides the verdict below is polished over log c within
+    the grid's range.  The fit is ``identified`` when that profile rises
+    more than chi-square(1, 0.95) = 3.84 residual variances (cost/dof)
+    above its minimum on both sides inside the grid, and the parameter
+    covariance is not singular; ``n_star_interval`` holds the crossings.
+    The covariance comes from the Jacobian at the optimum, scaled by the
+    residual variance; where its normal matrix is singular, only the
+    (a, u_inf) block of the linear fit at the fitted shape is reported, so
+    C(N) keeps a stderr.
 
     Raises:
         DegenerateCurve: fewer than 5 points.
-        FitDiverged: every start failed.
+        FitDiverged: no grid shape gives a finite cost.
     """
     if len(curve) < 5:
         raise DegenerateCurve(
             f"sigmoid fit needs >= 5 points, got {len(curve)}")
     n = curve.n.astype(np.float64)
+    x = np.log(n)
     y = curve.u_mean
     w = _weights_from_stderr(curve.u_stderr)
-    sigma = 1.0 / np.sqrt(w)
+    rows = np.linspace(x[0] - _GRID_PAD, x[-1] + _GRID_PAD, _GRID_ROWS)
+    lo = np.array([-math.inf, _GRID_LOG_C[0]])
+    hi = np.array([math.inf, _GRID_LOG_C[-1]])
+    grid = np.empty((rows.size, _GRID_LOG_C.size))
+    for j, gamma in enumerate(_GRID_LOG_C):
+        c = math.exp(gamma)
+        t = _hyp2f1_tail(c * (rows[:, None] - x), 1.0 / c) * np.exp(-x)
+        grid[:, j] = _linear_profile(t, y, w)[2]
+    if not np.isfinite(grid.min()):
+        raise FitDiverged("no sigmoid shape gives a finite cost")
     if init is not None:
-        a0, b0, c0, u0 = init
-        if a0 <= 0 or c0 <= 0:
+        _, b0, c0, _ = init
+        if init[0] <= 0 or c0 <= 0:
             raise InvalidArgument("init requires a > 0 and c > 0")
-        starts = [(a0, b0, c0, u0)]
+        start = np.array([b0 / c0, math.log(c0)])
     else:
-        starts = _default_starts(curve)
-    best = None
-    for idx, (a0, b0, c0, u0) in enumerate(starts):
-        theta0 = (np.log(a0), b0, np.log(c0), u0)
-        out = _lm_single_start(n, y, sigma, theta0)
-        if out is None:
-            continue
-        theta, cost, J = out
-        if best is None or cost < best[1] - 1e-15 * max(1.0, best[1]):
-            best = (theta, cost, J)
-    if best is None:
-        raise FitDiverged("all sigmoid fit starts failed")
-    theta, cost, J = best
-    a, b, c, u_inf = np.exp(theta[0]), theta[1], np.exp(theta[2]), theta[3]
+        i, j = np.unravel_index(np.argmin(grid), grid.shape)
+        start = np.array([rows[i], _GRID_LOG_C[j]])
+    shape = _polish(_Shape(np.clip(start, lo, hi), x, y, w), lo, hi)
+
+    a, u_inf, cost = shape.a, shape.u_inf, shape.cost
+    ell, c = float(shape.theta[0]), shape.c
+    b = c * ell
     dof = max(n.size - 4, 1)
-    H = J.T @ J
-    try:
-        cov_int = np.linalg.inv(H) * (cost / dof)
-    except np.linalg.LinAlgError:
-        cov_int = np.linalg.pinv(H) * (cost / dof)
-    T = np.diag([a, 1.0, c, 1.0])
-    cov = T @ cov_int @ T.T
+    s2 = cost / dof
+    sw = np.sqrt(w)
+    jac = sw[:, None] * np.column_stack(
+        [shape.t, a * shape.columns(), np.ones_like(x)])
+    norms = np.linalg.norm(jac, axis=0)
+    singular = not norms.min() > 0.0
+    if not singular:
+        scaled = jac / norms
+        sv = np.linalg.svd(scaled, compute_uv=False)
+        singular = not sv[-1] > _SINGULAR * sv[0]
+    cov = np.zeros((4, 4))
+    if singular:
+        lin = jac[:, [0, 3]]
+        cov[np.ix_([0, 3], [0, 3])] = np.linalg.inv(lin.T @ lin) * s2
+    else:
+        cov_int = np.linalg.inv(scaled.T @ scaled) / np.outer(norms, norms) * s2
+        # (a, log n*, log c, u_inf) -> (a, b, c, u_inf), with b = c log n*
+        m = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, c, b, 0.0],
+                      [0.0, 0.0, c, 0.0], [0.0, 0.0, 0.0, 1.0]])
+        cov = m @ cov_int @ m.T
+
+    profile = grid.min(axis=1)
+    best = min(cost, float(profile.min()))
+    syy = float(np.sum(w * (y - w @ y / w.sum()) ** 2))
+    level = best + _CHI2_1_95 * best / dof + _ROUNDING * syy
+
+    def refine(i):
+        # precise to a thousandth of the margin, and only until the row
+        # is seen to lie at or below the level
+        row = shape.moved([rows[i], _GRID_LOG_C[np.argmin(grid[i])]])
+        return _polish(row, np.array([rows[i], lo[1]]),
+                       np.array([rows[i], hi[1]]),
+                       tol=1e-3 * (level - best), floor=level).cost
+
+    n_star_lo, n_star_hi = _n_star_interval(rows, profile, ell, level, best,
+                                            refine)
     pred = u_inf + _sigmoid_tail(a, b, c, n)
     rms = float(np.sqrt(np.mean((y - pred) ** 2)))
-    return SigmoidCapacityModel(a=float(a), b=float(b), c=float(c),
-                                u_inf=float(u_inf), covariance=cov,
-                                residual_rms=rms)
+    return SigmoidCapacityModel(
+        a=a, b=b, c=c, u_inf=u_inf, covariance=cov, residual_rms=rms,
+        identified=bool(np.isfinite(n_star_lo) and np.isfinite(n_star_hi)
+                        and not singular),
+        n_star_interval=(math.exp(n_star_lo), math.exp(n_star_hi)))
 
 
 def capacity_from_sigmoid(model: SigmoidCapacityModel,
@@ -532,8 +691,7 @@ def capacity_from_sigmoid(model: SigmoidCapacityModel,
     """Direct sigmoid evaluation with a delta-method stderr."""
     n = float(n)
     x = np.log(n)
-    z = model.b - model.c * x
-    s = 1.0 / (1.0 + np.exp(z))
+    s = special.expit(model.c * x - model.b)
     value = model.a * s
     grad = np.array([s, -model.a * s * (1 - s), model.a * s * (1 - s) * x, 0.0])
     var = float(grad @ model.covariance @ grad)
@@ -546,6 +704,7 @@ class Guidance(enum.Enum):
     PROCURE_MORE_DATA = "procure-more-data"
     TRANSITION = "transition"
     SEARCH_ARCHITECTURES = "search-architectures"
+    UNDETERMINED = "undetermined"
 
 
 def freezing_threshold(model: SigmoidCapacityModel, n_current=None):
@@ -554,6 +713,9 @@ def freezing_threshold(model: SigmoidCapacityModel, n_current=None):
     With ``n_current`` supplied, also returns a guidance tag: below n*
     more data helps most; beyond 10 n* the capacity has frozen and a
     different architecture is the lever; in between is the transition.
+    For a fit that is not identified the guidance is undetermined, and
+    n* is the one bound its profile interval gives (inf when it gives
+    none).
 
     Raises:
         UndefinedThreshold: c <= 1e-6 (flat capacity, no transition).
@@ -561,13 +723,19 @@ def freezing_threshold(model: SigmoidCapacityModel, n_current=None):
     if model.c <= _C_MIN:
         raise UndefinedThreshold(
             f"capacity slope c={model.c} is too small to define a threshold")
-    try:
-        n_star = float(math.exp(model.b / model.c))
-    except OverflowError:
-        n_star = math.inf
+    lo, hi = model.n_star_interval
+    if model.identified or (lo > 0.0 and hi < math.inf):
+        try:
+            n_star = float(math.exp(model.b / model.c))
+        except OverflowError:
+            n_star = math.inf
+    else:
+        n_star = lo if lo > 0.0 else hi
     if n_current is None:
         return n_star, None
-    if n_current < n_star:
+    if not model.identified:
+        guidance = Guidance.UNDETERMINED
+    elif n_current < n_star:
         guidance = Guidance.PROCURE_MORE_DATA
     elif n_current > 10.0 * n_star:
         guidance = Guidance.SEARCH_ARCHITECTURES

@@ -212,6 +212,39 @@ class TestFit:
         payload = json.loads((tmp_path / "rec.json").read_text())
         assert payload["sigmoid"]["a"] == pytest.approx(100.0, rel=0.05)
 
+    def test_reports_carry_the_identifiability_verdict(self, tmp_path):
+        n = np.rint(np.geomspace(20, 5000, 12)).astype(np.int64)
+        rng = np.random.default_rng(0)
+        curves = {"sigmoid": np.array([truth_energy(10.0, math.log(200.0), 1.0,
+                                                    0.05, nn) for nn in n]),
+                  "power": 0.04 + 2.5 / n}
+        reports = {}
+        for name, u in curves.items():
+            sigma = 0.001 * u
+            write_curve_file(tmp_path / f"{name}.csv", n,
+                             u + rng.normal(0.0, sigma), sigma)
+            out = tmp_path / name
+            assert cli.main(["fit", str(tmp_path / f"{name}.csv"),
+                             "--method", "sigmoid", "--out", str(out)]) == 0
+            reports[name] = (json.loads((tmp_path / f"{name}.json").read_text()),
+                             (tmp_path / f"{name}.txt").read_text())
+        payload, text = reports["sigmoid"]
+        assert payload["sigmoid"]["identified"] is True
+        lo, hi = payload["sigmoid"]["n_star_interval"]
+        assert lo < payload["sigmoid"]["n_star"] < hi
+        assert payload["sigmoid"]["guidance"] == "search-architectures"
+        assert "sigmoid.identified True" in text
+        payload, text = reports["power"]
+        # the flat capacity leaves n* with an upper bound only
+        assert payload["sigmoid"]["identified"] is False
+        assert payload["sigmoid"]["guidance"] == "undetermined"
+        lo, hi = payload["sigmoid"]["n_star_interval"]
+        assert lo is None and payload["sigmoid"]["n_star"] == hi
+        assert "sigmoid.identified False" in text
+        assert "sigmoid.guidance undetermined" in text
+        assert re.search(r"^sigmoid\.n_star_interval open \S+$", text, re.M)
+        assert payload["sigmoid"]["capacity_at_n_max"]["stderr"] > 0.0
+
     def test_three_point_curve_exits_4(self, tmp_path, capsys):
         curve = tmp_path / "short.csv"
         write_curve_file(curve, [10, 100, 1000], [0.5, 0.3, 0.2],
