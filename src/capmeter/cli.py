@@ -62,6 +62,7 @@ from .oracle import (
     quad_capacity_hm,
 )
 from .protocol import (
+    DATASET_ID_FORBIDDEN,
     RECORD_HEADER,
     EnergyCurve,
     ProtocolConfig,
@@ -159,18 +160,29 @@ def _resolve_jobs(args) -> int:
     return jobs
 
 
+_SYNTHETIC_KEYS = {"d": int, "kappa": float, "m": int, "hidden": int,
+                   "seed": int}
+
+
 def _synthetic_dataset(spec_text: str, rows: int):
     spec = _parse_kv(spec_text)
-    known = {"d", "kappa", "m", "hidden", "seed"}
-    unknown = set(spec) - known
+    unknown = set(spec) - set(_SYNTHETIC_KEYS)
     if unknown:
         raise ConfigError(f"unknown synthetic keys: {sorted(unknown)}")
     if "d" not in spec:
         raise ConfigError("synthetic spec needs d=<dim>")
-    config = SyntheticConfig(d=int(spec["d"]), kappa=float(spec.get("kappa", 0.0)),
-                             teacher_hidden=int(spec.get("hidden", 1000)),
-                             m_classes=int(spec.get("m", 2)),
-                             seed=int(spec.get("seed", 0)))
+    values = {}
+    for key, text in spec.items():
+        kind = _SYNTHETIC_KEYS[key]
+        try:
+            values[key] = kind(text)
+        except ValueError:
+            raise ConfigError(f"synthetic key {key} needs {kind.__name__}, "
+                              f"got {text!r}") from None
+    config = SyntheticConfig(d=values["d"], kappa=values.get("kappa", 0.0),
+                             teacher_hidden=values.get("hidden", 1000),
+                             m_classes=values.get("m", 2),
+                             seed=values.get("seed", 0))
     dataset = gen_synthetic(config, rows)
     label = (f"synthetic-d{config.d}-kappa{config.kappa:g}-m{config.m_classes}"
              f"-seed{config.seed}")
@@ -181,8 +193,12 @@ def _dataset_for(args, rows: int):
     if args.synthetic is not None:
         return _synthetic_dataset(args.synthetic, rows) + ((),)
     if args.data is not None:
-        dataset = load_tabular(args.data)
         stem = os.path.splitext(os.path.basename(args.data))[0]
+        if any(ch in stem for ch in DATASET_ID_FORBIDDEN):
+            raise ConfigError(
+                f"--data file name {stem!r} is the dataset id of every record "
+                "and must not contain a comma or a line break")
+        dataset = load_tabular(args.data)
         return dataset, stem, (args.data,)
     raise ConfigError("select a data source with --synthetic or --data")
 
@@ -480,26 +496,33 @@ def cmd_oracle(args) -> int:
     return 0
 
 
-def _capacity_lookup(report_data: dict) -> dict:
-    section = report_data.get("sigmoid") or report_data.get("poly")
-    if not section:
-        raise ConfigError(
-            f"report {report_data.get('label')!r} has no fitted capacity section")
-    return {int(p["n"]): float(p["value"]) for p in section["capacity_by_n"]}
+def _read_fit_report(path, index: int):
+    """Label, capacity by N and loss by N from one fit .json report."""
+    with open(path) as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"{path} is not JSON: {exc.msg}", exc.lineno,
+                             column=exc.colno) from None
+    try:
+        label = data.get("label", f"model-{index}")
+        section = data.get("sigmoid") or data.get("poly")
+        if not section:
+            raise ConfigError(f"report {label!r} has no fitted capacity section")
+        caps = {int(p["n"]): float(p["value"]) for p in section["capacity_by_n"]}
+        losses = {int(n): float(u) for n, u in zip(data["n"], data["u_mean"])}
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{path} is not a fit report: "
+                         f"{type(exc).__name__}: {exc}", line=0) from None
+    return label, caps, losses
 
 
 def cmd_compare(args) -> int:
     if len(args.reports) < 2:
         raise ConfigError(
             f"compare needs two or more fit .json reports, got {len(args.reports)}")
-    reports = []
-    for path in args.reports:
-        with open(path) as fh:
-            reports.append(json.load(fh))
-    labels = [r.get("label", f"model-{i}") for i, r in enumerate(reports)]
-    caps = [_capacity_lookup(r) for r in reports]
-    losses = [{int(n): float(u) for n, u in zip(r["n"], r["u_mean"])}
-              for r in reports]
+    reports = [_read_fit_report(path, i) for i, path in enumerate(args.reports)]
+    labels, caps, losses = (list(column) for column in zip(*reports))
     shared = sorted(set.intersection(*(set(c) for c in caps)))
     if not shared:
         raise ConfigError("fit reports have no overlapping sample sizes")
@@ -571,22 +594,14 @@ def cmd_sgld(args) -> int:
                         prior=PriorKind(args.prior), prior_eps=args.prior_eps,
                         seed=args.seed)
     rows = max(schedule) + args.heldout_rows
-    inputs = ()
     if args.learner == "quadratic":
         if args.lambdas is None:
             raise ConfigError("quadratic energy needs --lambda")
         energy = QuadraticEnergy(_parse_floats(args.lambdas))
         dataset = RowCount(rows)
-        label = f"quadratic-p{energy.dim}"
+        label, inputs = f"quadratic-p{energy.dim}", ()
     else:
-        if args.synthetic is not None:
-            dataset, label = _synthetic_dataset(args.synthetic, rows)
-        elif args.data is not None:
-            dataset = load_tabular(args.data)
-            label = os.path.splitext(os.path.basename(args.data))[0]
-            inputs = (args.data,)
-        else:
-            raise ConfigError("select a data source with --synthetic or --data")
+        dataset, label, inputs = _dataset_for(args, rows)
         if args.learner == "logistic":
             energy = LogisticEnergy(dataset)
         else:

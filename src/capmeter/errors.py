@@ -72,8 +72,10 @@ class InvariantViolation(CapmeterError):
 class TrainingFailure(CapmeterError):
     """A model could not be trained on the given rows.
 
-    ``job`` is the protocol job whose fit failed, when the model was one of
-    a group trained together (see ``protocol.run_protocol``), else None.
+    ``job`` is the protocol job whose fit failed (see
+    ``protocol.run_protocol``); from a learner's ``fit`` it is the one job
+    that ``fit`` trains.  None only from a learner that trains no jobs
+    (the k-NN ``fit``) when called outside the protocol.
     """
 
     def __init__(self, *args, job=None):

@@ -1,11 +1,11 @@
 """Hot numeric loops, one vectorized numpy implementation each.
 
-``logistic_gd_stack`` trains a stack of logistic fits at once
-(``logistic_gd`` is its one-job case), and ``mlp_sgd_stack`` a stack of MLP
-fits with one training-set size (``mlp_sgd`` is its one-job case);
-``sgld_chain_diag_quad`` runs fused Langevin chains for diagonal quadratic
-energies.  Callers reach them through this module's attributes
-(``kernels.logistic_gd(...)``), so a wrapper bound here sees every call.
+``logistic_gd_stack`` trains a stack of logistic fits at once, and
+``mlp_sgd_stack`` a stack of MLP fits with one training-set size; one fit
+is a stack of one job.  ``sgld_chain_diag_quad`` runs fused Langevin chains
+for diagonal quadratic energies.  Callers reach them through this module's
+attributes (``kernels.logistic_gd_stack(...)``), so a wrapper bound here
+sees every call.
 """
 
 import numpy as np
@@ -17,21 +17,13 @@ NUMBA_ENABLED = False
 # ---------------------------------------------------------------------------
 # multinomial logistic regression, full-batch gradient descent
 # ---------------------------------------------------------------------------
-# Reference-class weights W: shape (m-1, d+1); class 0 logit pinned to 0.
-# Returns (W, last_loss, iterations_run, bad_iteration).  bad_iteration >= 0
-# means the loss went non-finite there and training stopped.
-
-def logistic_gd(Xb, y, n_classes, l2, lr, epochs, grad_tol):
-    W, loss, it, bad = logistic_gd_stack(Xb[None], y[None], np.array([Xb.shape[0]]),
-                                         n_classes, l2, lr, epochs, grad_tol)
-    return W[0], float(loss[0]), int(it[0]), int(bad[0])
-
-
-# The same descent for a stack of jobs at once: Xb is (jobs, n_max, d+1) and
-# y is (jobs, n_max); job k trains on its first n_rows[k] rows, and the rows
-# after them must be zero (their gradient terms then vanish).  Each job stops
-# on its own, at grad_tol or at a non-finite loss, exactly as logistic_gd
-# would; the results are per-job arrays of logistic_gd's four values.
+# A stack of jobs at once: Xb is (jobs, n_max, d+1) and y is (jobs, n_max);
+# job k trains on its first n_rows[k] rows, and the rows after them must be
+# zero (their gradient terms then vanish).  Reference-class weights: job k's
+# W[k] has shape (m-1, d+1), with the class 0 logit pinned to 0.  Returns
+# per-job arrays (W, last_loss, iterations_run, bad_iteration).  Each job
+# stops on its own, at grad_tol or at a non-finite loss; bad_iteration >= 0
+# is the iteration where its loss went non-finite.
 
 def logistic_gd_stack(Xb, y, n_rows, n_classes, l2, lr, epochs, grad_tol):
     jobs, n, d1 = Xb.shape
@@ -76,23 +68,13 @@ def logistic_gd_stack(Xb, y, n_rows, n_classes, l2, lr, epochs, grad_tol):
 # one-hidden-layer ReLU MLP, minibatch SGD with Nesterov momentum and a
 # one-cycle cosine learning-rate schedule
 # ---------------------------------------------------------------------------
-# Parameters are updated in place.  perms holds one row permutation per
-# epoch.  Returns (last_epoch_loss, bad_epoch).
-
-def mlp_sgd(X, y, W1, b1, W2, b2, perms, lr_max, momentum, batch):
-    loss, bad = mlp_sgd_stack(X[None], y[None], W1[None], b1[None], W2[None],
-                              b2[None], perms[:, None], perms.shape[0],
-                              lr_max, momentum, batch)
-    return float(loss[0]), int(bad[0])
-
-
-# The same SGD for a stack of equal-size jobs at once: X is (jobs, n, d), y
-# is (jobs, n), and the parameters, updated in place, carry a leading jobs
-# axis.  orders yields one (jobs, n) array per epoch, row k the permutation
-# job k takes in it.  Every product is a per-job matmul and every reduction
-# runs within a job, so each job's bits are those of its own call.  A job
-# whose epoch loss is non-finite stops after that epoch and the others go
-# on; the results are per-job arrays of mlp_sgd's two values.
+# A stack of equal-size jobs at once: X is (jobs, n, d), y is (jobs, n), and
+# the parameters, updated in place, carry a leading jobs axis.  orders yields
+# one (jobs, n) array per epoch, row k the permutation job k takes in it.
+# Every product is a per-job matmul and every reduction runs within a job,
+# so each job's bits are those of a stack of that job alone.  A job whose
+# epoch loss is non-finite stops after that epoch and the others go on.
+# Returns per-job arrays (last_epoch_loss, bad_epoch).
 
 def mlp_sgd_stack(X, y, W1, b1, W2, b2, orders, epochs, lr_max, momentum,
                   batch):

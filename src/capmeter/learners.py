@@ -2,6 +2,9 @@
 
 Three desk-scale learners share one interface: ``fit(dataset, rows, seed)``
 returns an immutable predictive model exposing per-example log-probabilities.
+The logistic and MLP learners train only through ``fit_many(dataset, jobs)``,
+which trains many protocol jobs as one stack; their ``fit`` is its one-job
+case.
 The synthetic generator draws Gaussian inputs with geometrically decaying
 per-coordinate variances and labels them with a fixed random one-hidden-layer
 teacher, so harder (faster-decaying) feature spectra are a one-knob dial.
@@ -23,7 +26,7 @@ from .errors import (
     NonFiniteLoss,
     ParseError,
 )
-from .protocol import derive_rng
+from .protocol import Job, derive_rng
 
 
 class _Regression:
@@ -179,6 +182,19 @@ class PredictiveModel:
         rows = np.asarray(rows)
         lp = self.class_log_probs(dataset.inputs[rows])
         return -lp[np.arange(rows.size), dataset.labels[rows]]
+
+
+class _StackedLearner:
+    """A learner whose one trainer is ``fit_many(dataset, jobs)``.
+
+    ``fit`` trains the one job of ``rows`` and ``seed``, and a training
+    failure names that job in its ``job``.
+    """
+
+    def fit(self, dataset: Dataset, rows, seed: int) -> PredictiveModel:
+        rows = np.asarray(rows, dtype=np.int64)
+        job = Job(rows.size, 0, 0, 0, seed, rows, rows[:0])
+        return self.fit_many(dataset, [job])[0]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -340,7 +356,7 @@ class LogisticModel(PredictiveModel):
         return logistic_log_probs(self.weights, inputs)
 
 
-class LogisticLearner:
+class LogisticLearner(_StackedLearner):
     GRAD_TOL = 1e-7
 
     def __init__(self, l2, epochs, lr):
@@ -348,28 +364,13 @@ class LogisticLearner:
         self.epochs = epochs
         self.lr = lr
 
-    def fit(self, dataset: Dataset, rows, seed: int) -> LogisticModel:
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            raise EmptyTrainingSet("logistic regression needs training rows")
-        if not dataset.is_classification:
-            raise InvalidArgument("logistic learner requires class labels")
-        xb = with_bias(dataset.inputs[rows])
-        y = dataset.labels[rows]
-        w, loss, iters, bad = kernels.logistic_gd(
-            xb, y, dataset.m_classes, self.l2, self.lr, self.epochs,
-            self.GRAD_TOL)
-        if bad >= 0:
-            raise NonFiniteLoss(bad, f"loss became non-finite at iteration {bad}")
-        return LogisticModel(w, dataset.m_classes, iters)
-
     def fit_many(self, dataset: Dataset, jobs) -> list:
-        """One model per job, as ``fit`` trains it, from one stacked descent.
+        """One model per job, in job order, from one stacked descent.
 
         The jobs' training sets may differ in size: each is padded to the
-        longest with zero rows, which add nothing to its gradient.  A
-        training failure is raised for the first job, in order, that fails,
-        with the message ``fit`` gives it and that job as its ``job``.
+        longest with zero rows, which add nothing to its gradient, so a job
+        trains as it would alone.  A training failure is raised for the
+        first job, in order, that fails, with that job as its ``job``.
         """
         if not dataset.is_classification:
             raise InvalidArgument("logistic learner requires class labels")
@@ -470,7 +471,7 @@ class MlpModel(PredictiveModel):
         return mlp_log_probs(self.params, inputs)
 
 
-class MlpLearner:
+class MlpLearner(_StackedLearner):
     MOMENTUM = 0.9
 
     def __init__(self, hidden, epochs, lr_max, batch):
@@ -479,35 +480,15 @@ class MlpLearner:
         self.lr_max = lr_max
         self.batch = batch
 
-    def fit(self, dataset: Dataset, rows, seed: int) -> MlpModel:
-        rows = np.asarray(rows, dtype=np.int64)
-        if rows.size == 0:
-            raise EmptyTrainingSet("MLP needs training rows")
-        if not dataset.is_classification:
-            raise InvalidArgument("MLP learner requires class labels")
-        x = dataset.inputs[rows]
-        y = dataset.labels[rows]
-        w1, b1, w2, b2 = mlp_init(dataset.feature_dim, self.hidden,
-                                  dataset.m_classes, seed)
-        rng = np.random.default_rng(seed + 1)
-        perms = np.empty((self.epochs, rows.size), dtype=np.int64)
-        for e in range(self.epochs):
-            perms[e] = rng.permutation(rows.size)
-        loss, bad = kernels.mlp_sgd(x, y, w1, b1, w2, b2, perms,
-                                    self.lr_max, self.MOMENTUM, self.batch)
-        if bad >= 0:
-            raise NonFiniteLoss(bad, f"loss became non-finite at epoch {bad}")
-        return MlpModel((w1, b1, w2, b2), dataset.m_classes, loss)
-
     def fit_many(self, dataset: Dataset, jobs) -> list:
-        """One model per job, bitwise as ``fit`` trains it, in job order.
+        """One model per job, in job order, each bitwise as it trains alone.
 
         Jobs with equal training-set sizes share minibatch shapes and a
         learning-rate schedule, so each such part of the group trains as
         one stack.  Every job keeps its own init and its own generator of
         epoch shuffles, drawn as each epoch starts.  A training failure is
-        raised for the first job, in order, that fails, with the message
-        ``fit`` gives it and that job as its ``job``.
+        raised for the first job, in order, that fails, with that job as
+        its ``job``.
         """
         if not dataset.is_classification:
             raise InvalidArgument("MLP learner requires class labels")
@@ -550,7 +531,7 @@ def mlp_learner(hidden: int, epochs: int = 150, lr_max: float = 0.1,
     the learning rate from lr_max to 0 across all steps.  Weight init and
     the per-epoch shuffles derive from the fit seed, so training is
     reproducible bit for bit.  ``fit_many`` trains a protocol group's jobs
-    as one stack per training-set size, with the same bits as ``fit``.
+    as one stack per training-set size; ``fit`` is its one-job case.
     """
     if hidden < 1:
         raise InvalidArgument(f"hidden must be >= 1, got {hidden}")

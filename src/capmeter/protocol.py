@@ -38,6 +38,8 @@ from .errors import (
 )
 
 RECORD_HEADER = "dataset_id,sample_size,boot_index,fold_index,seed_index,nll_sum,heldout_count"
+# characters that would split a record line if a dataset id held them
+DATASET_ID_FORBIDDEN = (",", "\r", "\n")
 
 # Clamp range for a single held-out NLL term.
 NLL_CLAMP_LO = 0.0
@@ -57,6 +59,10 @@ class EnergyRecord:
     heldout_count: int
 
     def __post_init__(self):
+        if any(ch in self.dataset_id for ch in DATASET_ID_FORBIDDEN):
+            raise InvariantViolation(
+                f"dataset_id {self.dataset_id!r} must not contain a comma "
+                "or a line break")
         if self.sample_size < 2:
             raise InvariantViolation(f"sample_size must be >= 2, got {self.sample_size}")
         if min(self.boot_index, self.fold_index, self.seed_index) < 0:

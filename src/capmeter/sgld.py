@@ -18,7 +18,6 @@ readout scores every sample of every chain at a schedule point in one
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -121,17 +120,14 @@ class DifferentiableEnergy:
     ``prob_on_rows`` reports per-row predictive probabilities for the
     held-out readout.
 
-    Each takes one state ``(dim,)`` with its rows ``(b,)``.  An energy that
-    sets ``takes_stacks`` also takes a stack of states ``(chains, dim)`` in
-    ``gradient`` and ``prob_on_rows``, with rows either one set per state
-    ``(chains, b)`` or shared ``(b,)``, and returns one result per state,
-    each bitwise what that state's own call returns.  The sampler then
-    makes one gradient call per minibatch for a whole stack of chains and
-    scores a window in one pass; for other energies it calls them once per
-    state.
+    ``value`` takes one state ``(dim,)`` with its rows ``(b,)``.
+    ``gradient`` and ``prob_on_rows`` take one state or a stack of states
+    ``(chains, dim)``, with rows either one set per state ``(chains, b)``
+    or shared ``(b,)``, and return one result per state, each bitwise what
+    that state's own call returns.  The sampler makes one gradient call
+    per minibatch for a whole stack of chains and scores a window in
+    blocks of samples.
     """
-
-    takes_stacks = False
 
     @property
     def dim(self) -> int:
@@ -149,14 +145,10 @@ class DifferentiableEnergy:
     def heldout_means(self, samples: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """Per-sample held-out mean of ``1 - p`` for a stack of weights."""
         out = np.empty(samples.shape[0])
-        if self.takes_stacks:
-            block = max(1, _HELDOUT_BLOCK // max(1, np.size(rows)))
-            for start in range(0, out.size, block):
-                p = self.prob_on_rows(samples[start:start + block], rows)
-                out[start:start + block] = 1.0 - p.mean(axis=1)
-            return out
-        for i, w in enumerate(samples):
-            out[i] = 1.0 - float(self.prob_on_rows(w, rows).mean())
+        block = max(1, _HELDOUT_BLOCK // max(1, np.size(rows)))
+        for start in range(0, out.size, block):
+            p = self.prob_on_rows(samples[start:start + block], rows)
+            out[start:start + block] = 1.0 - p.mean(axis=1)
         return out
 
 
@@ -194,8 +186,9 @@ class QuadraticEnergy(DifferentiableEnergy):
         return self.eigenvalues * np.asarray(weights, dtype=np.float64)
 
     def prob_on_rows(self, weights, rows) -> np.ndarray:
-        p = math.exp(-self.value(weights, rows))
-        return np.full(np.asarray(rows).size, p)
+        w = np.asarray(weights, dtype=np.float64)
+        values = 0.5 * np.einsum("...j,j,...j->...", w, self.eigenvalues, w)
+        return np.exp(-values)[..., None] * np.ones(np.shape(rows)[-1])
 
     def heldout_means(self, samples, rows) -> np.ndarray:
         values = 0.5 * np.einsum("sj,j,sj->s", samples, self.eigenvalues, samples)
@@ -208,8 +201,6 @@ class LogisticEnergy(DifferentiableEnergy):
     Weights are the flattened (m-1, d+1) reference-class matrix: class 0
     keeps logit zero and the trailing column multiplies a constant 1.
     """
-
-    takes_stacks = True
 
     def __init__(self, dataset: Dataset):
         if not dataset.is_classification:
@@ -255,8 +246,6 @@ class MlpEnergy(DifferentiableEnergy):
     Weights concatenate (w1, b1, w2, b2) in row-major order, matching the
     shapes ``(d, hidden)``, ``(hidden,)``, ``(hidden, m)``, ``(m,)``.
     """
-
-    takes_stacks = True
 
     def __init__(self, dataset: Dataset, hidden: int):
         if not dataset.is_classification:
@@ -430,14 +419,6 @@ class RowCount:
         return int(self.rows)
 
 
-def _per_state_gradients(energy, weights, rows):
-    """Gradients of a stack from one ``gradient`` call per state."""
-    out = np.empty_like(weights)
-    for i, (w, r) in enumerate(zip(weights, rows)):
-        out[i] = energy.gradient(w, r)
-    return out
-
-
 def _window_stack(energy, w, pools, sample_size, config, noise_rngs,
                   shuffle_rngs):
     """Equilibration plus sampling epochs of chains with equally large pools.
@@ -460,8 +441,6 @@ def _window_stack(energy, w, pools, sample_size, config, noise_rngs,
     starts = range(0, size, batch)
     half, scale = 0.5 * config.step_size, math.sqrt(config.step_size)
     eps = config.prior_eps if config.prior is PriorKind.GAUSSIAN else None
-    gradient = (energy.gradient if energy.takes_stacks
-                else functools.partial(_per_state_gradients, energy))
     live = np.arange(chains)
     kept = np.zeros(chains, dtype=bool)
     final = np.empty_like(w)
@@ -475,7 +454,7 @@ def _window_stack(energy, w, pools, sample_size, config, noise_rngs,
         noise = np.stack([noise_rngs[c].standard_normal((len(starts), w.shape[1]))
                           for c in live], axis=1)
         for step, start in enumerate(starts):
-            g = sample_size * gradient(w, order[:, start:start + batch])
+            g = sample_size * energy.gradient(w, order[:, start:start + batch])
             if eps is not None:
                 g = g + eps * w
             w = w - half * g + scale * noise[step]

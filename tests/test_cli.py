@@ -16,9 +16,9 @@ from scipy import integrate
 
 import capmeter.estimators
 from capmeter import cli
-from capmeter.errors import ConfigError
+from capmeter.errors import ConfigError, InvariantViolation
 from capmeter.oracle import HessianSpectrum, pacbayes_bound, save_spectrum
-from capmeter.protocol import RECORD_HEADER
+from capmeter.protocol import RECORD_HEADER, EnergyRecord
 
 
 def truth_energy(a, b, c, u_inf, n):
@@ -162,6 +162,59 @@ class TestRun:
         text = out.read_text()
         assert "sha256:" in text
         assert "table" in text
+
+
+DATA_ARGV = {
+    "run": ["run", "--learner", "knn", "--n-grid", "10,20", "--boots", "1",
+            "--folds", "2", "--seeds", "1"],
+    "sgld": ["sgld", "--learner", "logistic", "--schedule", "8,16",
+             "--step", "0.01", "--chains", "2", "--equil", "1",
+             "--samples", "2", "--heldout-rows", "8"],
+}
+
+
+class TestDataFlags:
+    @pytest.mark.parametrize("command", sorted(DATA_ARGV))
+    @pytest.mark.parametrize("spec, message", [
+        ("d=x", "synthetic key d needs int, got 'x'"),
+        ("d=3,kappa=abc", "synthetic key kappa needs float, got 'abc'"),
+    ], ids=["d", "kappa"])
+    def test_malformed_synthetic_value_exits_2(self, tmp_path, capsys,
+                                               command, spec, message):
+        out = tmp_path / "r.csv"
+        code = cli.main(DATA_ARGV[command]
+                        + ["--synthetic", spec, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"error: ConfigError: {message}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", sorted(DATA_ARGV))
+    def test_dataset_id_with_comma_exits_2_before_training(
+            self, tmp_path, capsys, monkeypatch, command):
+        # the file name is the dataset id of every record; with a comma in
+        # it each record line would carry an extra field
+        def no_training(*args, **kwargs):
+            raise AssertionError("training started")
+
+        monkeypatch.setattr(cli, "run_protocol", no_training)
+        monkeypatch.setattr(cli, "run_incremental_protocol", no_training)
+        rng = np.random.default_rng(0)
+        csv = tmp_path / "a,b.csv"
+        csv.write_text("".join(f"{float(a)!r},{int(a > 0)}\n"
+                               for a in rng.normal(size=40)))
+        out = tmp_path / "r.csv"
+        code = cli.main(DATA_ARGV[command]
+                        + ["--data", str(csv), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: ConfigError: --data file name 'a,b'" in err
+        assert list(tmp_path.iterdir()) == [csv]
+
+    @pytest.mark.parametrize("dataset_id", ["a,b", "a\nb", "a\rb"])
+    def test_record_refuses_an_id_that_splits_its_line(self, dataset_id):
+        with pytest.raises(InvariantViolation, match="dataset_id"):
+            EnergyRecord(dataset_id, 10, 0, 0, 0, 1.0, 2)
 
 
 class TestFit:
@@ -442,6 +495,23 @@ class TestCompare:
         err = capsys.readouterr().err
         assert "ConfigError" in err
         assert "two or more fit .json reports, got 1" in err
+        assert not (tmp_path / "cmp.json").exists()
+
+    @pytest.mark.parametrize("text, reason", [
+        ("not json\n", "is not JSON"),
+        (json.dumps({"label": "a", "sigmoid": {"capacity_by_n": [
+            {"n": 100, "value": 1.0}]}}), "is not a fit report: KeyError: 'n'"),
+    ], ids=["not-json", "no-curve"])
+    def test_malformed_report_exits_2(self, tmp_path, capsys, text, reason):
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        a.write_text(text)
+        b.write_text(json.dumps(fit_report("b", [100], [0.4], [20.0])))
+        assert cli.main(["compare", str(a), str(b),
+                         "--out", str(tmp_path / "cmp")]) == 2
+        err = capsys.readouterr().err
+        assert "error: ParseError: " in err
+        assert f"{a} {reason}" in err
         assert not (tmp_path / "cmp.json").exists()
 
     def test_no_overlap_exits_2(self, tmp_path, capsys):

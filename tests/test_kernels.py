@@ -166,6 +166,22 @@ def _reference_mlp_sgd(X, y, W1, b1, W2, b2, perms, lr_max, momentum, batch):
     return epoch_loss, -1
 
 
+def logistic_alone(Xb, y, *args):
+    """One fit as a stack of one job: (W, loss, iterations, bad_iteration)."""
+    W, loss, it, bad = kernels.logistic_gd_stack(
+        Xb[None], y[None], np.array([Xb.shape[0]]), *args)
+    return W[0], float(loss[0]), int(it[0]), int(bad[0])
+
+
+def mlp_alone(X, y, W1, b1, W2, b2, perms, lr_max, momentum, batch):
+    """One fit as a stack of one job, parameters updated in place:
+    (loss, bad_epoch)."""
+    loss, bad = kernels.mlp_sgd_stack(
+        X[None], y[None], W1[None], b1[None], W2[None], b2[None],
+        perms[:, None], perms.shape[0], lr_max, momentum, batch)
+    return float(loss[0]), int(bad[0])
+
+
 def logistic_problem(seed=0, n=40, d=3, m=3):
     rng = np.random.default_rng(seed)
     Xb = np.concatenate([rng.normal(size=(n, d)), np.ones((n, 1))], axis=1)
@@ -247,7 +263,7 @@ class TestLogisticKernel:
     def test_variants_agree_to_rounding(self):
         Xb, y, m = logistic_problem()
         args = (m, 0.01, 0.5, 40, 0.0)
-        W_np, loss_np, it_np, bad_np = kernels.logistic_gd(Xb, y, *args)
+        W_np, loss_np, it_np, bad_np = logistic_alone(Xb, y, *args)
         W_ref, loss_ref, it_ref, bad_ref = _reference_logistic_gd(Xb, y, *args)
         assert (it_np, bad_np) == (it_ref, bad_ref) == (40, -1)
         np.testing.assert_allclose(W_ref, W_np, rtol=1e-7, atol=1e-9)
@@ -255,22 +271,22 @@ class TestLogisticKernel:
 
     def test_deterministic(self):
         Xb, y, m = logistic_problem(seed=2)
-        first = kernels.logistic_gd(Xb, y, m, 0.0, 1.0, 30, 0.0)
-        second = kernels.logistic_gd(Xb, y, m, 0.0, 1.0, 30, 0.0)
+        first = logistic_alone(Xb, y, m, 0.0, 1.0, 30, 0.0)
+        second = logistic_alone(Xb, y, m, 0.0, 1.0, 30, 0.0)
         assert np.array_equal(first[0], second[0])
         assert first[1] == second[1]
 
     def test_gradient_tolerance_stops_before_updating(self):
         Xb, y, m = logistic_problem(seed=3)
-        W, _, it, bad = kernels.logistic_gd(Xb, y, m, 0.0, 1.0, 50, 1e9)
+        W, _, it, bad = logistic_alone(Xb, y, m, 0.0, 1.0, 50, 1e9)
         assert it == 1
         assert bad == -1
         assert np.all(W == 0.0)
 
     def test_loss_decreases(self):
         Xb, y, m = logistic_problem(seed=4)
-        _, short_loss, _, _ = kernels.logistic_gd(Xb, y, m, 0.0, 0.5, 5, 0.0)
-        _, long_loss, _, _ = kernels.logistic_gd(Xb, y, m, 0.0, 0.5, 80, 0.0)
+        _, short_loss, _, _ = logistic_alone(Xb, y, m, 0.0, 0.5, 5, 0.0)
+        _, long_loss, _, _ = logistic_alone(Xb, y, m, 0.0, 0.5, 80, 0.0)
         assert long_loss < short_loss
 
 
@@ -325,7 +341,7 @@ class TestLogisticStack:
         it, bad = self.check_jobs(problems, *args)
         assert len(set(it.tolist())) > 1 and max(it) < 200
         for k, (Xb, y) in enumerate(problems):
-            assert it[k] == kernels.logistic_gd(Xb, y, *args)[2]
+            assert it[k] == logistic_alone(Xb, y, *args)[2]
 
     def test_non_finite_job_stops_alone(self):
         # huge inputs overflow the logits once the first step has moved W
@@ -343,7 +359,7 @@ class TestMlpKernel:
         X, y, params, perms = mlp_problem()
         p_np = tuple(a.copy() for a in params)
         p_ref = tuple(a.copy() for a in params)
-        loss_np, bad_np = kernels.mlp_sgd(X, y, *p_np, perms, 0.05, 0.9, 8)
+        loss_np, bad_np = mlp_alone(X, y, *p_np, perms, 0.05, 0.9, 8)
         loss_ref, bad_ref = _reference_mlp_sgd(X, y, *p_ref, perms, 0.05, 0.9, 8)
         assert bad_np == bad_ref == -1
         assert loss_ref == pytest.approx(loss_np, rel=1e-8)
@@ -353,17 +369,17 @@ class TestMlpKernel:
     def test_updates_parameters_in_place(self):
         X, y, params, perms = mlp_problem(seed=6)
         originals = tuple(a.copy() for a in params)
-        kernels.mlp_sgd(X, y, *params, perms, 0.05, 0.9, 8)
+        mlp_alone(X, y, *params, perms, 0.05, 0.9, 8)
         assert any(not np.array_equal(a, o)
                    for a, o in zip(params, originals))
 
     def test_training_reduces_loss(self):
         X, y, params, perms = mlp_problem(seed=7, n=64, epochs=2)
         short = tuple(a.copy() for a in params)
-        loss_first, _ = kernels.mlp_sgd(X, y, *short, perms[:1], 0.1, 0.9, 16)
+        loss_first, _ = mlp_alone(X, y, *short, perms[:1], 0.1, 0.9, 16)
         longer = tuple(a.copy() for a in params)
-        kernels.mlp_sgd(X, y, *longer, perms[:1], 0.1, 0.9, 16)
-        loss_second, _ = kernels.mlp_sgd(X, y, *longer, perms[1:], 0.1, 0.9, 16)
+        mlp_alone(X, y, *longer, perms[:1], 0.1, 0.9, 16)
+        loss_second, _ = mlp_alone(X, y, *longer, perms[1:], 0.1, 0.9, 16)
         assert loss_second < loss_first
 
 
@@ -377,10 +393,10 @@ def mlp_stack(problems):
 
 
 class TestMlpStack:
-    """Each job of the stacked SGD against a lone ``mlp_sgd`` call.
+    """Each job of the stacked SGD against a stack of that job alone.
 
     Every product and reduction of the stack runs within one job, in the
-    order the lone call runs it, so the agreement is bitwise.
+    order a stack of one job runs it, so the agreement is bitwise.
     """
 
     def check_jobs(self, problems, lr_max, batch):
@@ -389,7 +405,7 @@ class TestMlpStack:
                                           lr_max, 0.9, batch)
         for k, (Xk, yk, pk, perms) in enumerate(problems):
             alone = tuple(a.copy() for a in pk)
-            loss_k, bad_k = kernels.mlp_sgd(Xk, yk, *alone, perms, lr_max, 0.9,
+            loss_k, bad_k = mlp_alone(Xk, yk, *alone, perms, lr_max, 0.9,
                                             batch)
             assert bad[k] == bad_k
             assert loss[k] == loss_k or (np.isnan(loss_k) and np.isnan(loss[k]))
@@ -441,7 +457,7 @@ class TestMlpStack:
         loss, _ = kernels.mlp_sgd_stack(X, y, *params, orders, 2, 0.05, 0.9, 8)
         for k, (Xk, yk, pk, perms) in enumerate(problems):
             alone = tuple(a.copy() for a in pk)
-            assert kernels.mlp_sgd(Xk, yk, *alone, perms[:2], 0.05, 0.9,
+            assert mlp_alone(Xk, yk, *alone, perms[:2], 0.05, 0.9,
                                    8)[0] == loss[k]
 
 

@@ -39,7 +39,7 @@ from capmeter.sgld import (
 
 
 class FixedProbEnergy(DifferentiableEnergy):
-    """Reads the per-row probability straight off the first weight."""
+    """Reads the per-row probability straight off each state's first weight."""
 
     @property
     def dim(self):
@@ -49,10 +49,11 @@ class FixedProbEnergy(DifferentiableEnergy):
         return 0.0
 
     def gradient(self, weights, rows):
-        return np.zeros(1)
+        return np.zeros_like(weights)
 
     def prob_on_rows(self, weights, rows):
-        return np.full(np.asarray(rows).size, float(weights[0]))
+        w = np.asarray(weights, dtype=np.float64)
+        return w[..., :1] * np.ones(np.shape(rows)[-1])
 
 
 def tiny_logistic_dataset():
@@ -398,7 +399,7 @@ class TestScheduleRowBlocks:
 
 class WrappedQuadratic(DifferentiableEnergy):
     """Same arithmetic as QuadraticEnergy but a different type, so the
-    protocol driver takes its generic per-step path."""
+    protocol driver takes its generic stacked path, not the fused kernel."""
 
     def __init__(self, eigenvalues):
         self._inner = QuadraticEnergy(eigenvalues)
@@ -582,12 +583,11 @@ class TestIncrementalProtocol:
                 return 0.0
 
             def gradient(self, weights, rows):
-                if 0 in np.asarray(rows):
-                    return np.array([np.inf])
-                return np.zeros(1)
+                hit = (np.asarray(rows) == 0).any(axis=-1)
+                return np.where(hit[..., None], np.inf, 0.0 * weights)
 
             def prob_on_rows(self, weights, rows):
-                return np.full(np.asarray(rows).size, 0.5)
+                return np.full(np.shape(weights)[:-1] + np.shape(rows)[-1:], 0.5)
 
         cfg = SgldConfig(step_size=0.01, n_schedule=(4, 8), chains=4,
                          equilibration_epochs=5, samples_per_window=5, seed=0)
@@ -608,10 +608,10 @@ class TestIncrementalProtocol:
                 return 0.0
 
             def gradient(self, weights, rows):
-                return np.array([np.inf])
+                return np.full(np.shape(weights), np.inf)
 
             def prob_on_rows(self, weights, rows):
-                return np.full(np.asarray(rows).size, 0.5)
+                return np.full(np.shape(weights)[:-1] + np.shape(rows)[-1:], 0.5)
 
         cfg = SgldConfig(step_size=0.01, n_schedule=(4,), chains=4,
                          equilibration_epochs=5, samples_per_window=5, seed=0)
