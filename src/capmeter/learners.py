@@ -1,10 +1,14 @@
 """Reference learners and data generation.
 
-Three desk-scale learners share one interface: ``fit(dataset, rows, seed)``
-returns an immutable predictive model exposing per-example log-probabilities.
-The logistic and MLP learners train only through ``fit_many(dataset, jobs)``,
-which trains many protocol jobs as one stack; their ``fit`` is its one-job
-case.
+Three desk-scale learners share one protocol interface,
+``score_many(dataset, jobs)``, which trains a group of protocol jobs and
+returns each job's raw held-out NLL terms, and each declares in
+``USES_SEED`` whether its fit depends on the seed.  ``fit(dataset, rows,
+seed)`` returns an immutable predictive model exposing per-example
+log-probabilities.  The logistic and MLP learners train only through
+``fit_many(dataset, jobs)``, which trains many protocol jobs as one stack;
+their ``fit`` is its one-job case.  The k-NN learner fits and scores one job
+at a time.
 The synthetic generator draws Gaussian inputs with geometrically decaying
 per-coordinate variances and labels them with a fixed random one-hidden-layer
 teacher, so harder (faster-decaying) feature spectra are a one-knob dial.
@@ -25,6 +29,7 @@ from .errors import (
     MixedTypes,
     NonFiniteLoss,
     ParseError,
+    TrainingFailure,
 )
 from .protocol import Job, derive_rng
 
@@ -184,7 +189,23 @@ class PredictiveModel:
         return -lp[np.arange(rows.size), dataset.labels[rows]]
 
 
-class _StackedLearner:
+class Learner:
+    """What the protocol trains: ``score_many(dataset, jobs)`` returns each
+    job's raw held-out NLL terms, in job order, and a training failure
+    names its job in ``job``.
+
+    ``USES_SEED`` declares whether a fit depends on its seed.  When it does
+    not, jobs that differ only in the seed train the same model, so the
+    protocol scores each distinct (train rows, held-out rows) pair once.
+    """
+
+    USES_SEED = True
+
+    def score_many(self, dataset: Dataset, jobs) -> list:
+        raise NotImplementedError
+
+
+class _StackedLearner(Learner):
     """A learner whose one trainer is ``fit_many(dataset, jobs)``.
 
     ``fit`` trains the one job of ``rows`` and ``seed``, and a training
@@ -195,6 +216,10 @@ class _StackedLearner:
         rows = np.asarray(rows, dtype=np.int64)
         job = Job(rows.size, 0, 0, 0, seed, rows, rows[:0])
         return self.fit_many(dataset, [job])[0]
+
+    def score_many(self, dataset: Dataset, jobs) -> list:
+        return [model.nll_terms(dataset, job.heldout_rows)
+                for job, model in zip(jobs, self.fit_many(dataset, jobs))]
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -212,10 +237,33 @@ def _one_hot(labels: np.ndarray, m: int, start: int = 0) -> np.ndarray:
 # k-nearest-neighbour learner
 # ---------------------------------------------------------------------------
 
+def k_nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Columns of the k smallest entries of each row of ``d2``, ordered by
+    (value, column): ``np.argsort(d2, axis=1, kind="stable")[:, :k]``.
+
+    Rows are selected by partition, and only the k chosen columns are
+    sorted.  A row with more than k entries at or below its k-th smallest
+    value, where a tie crosses the cut, falls back to the stable sort.
+    """
+    if k >= d2.shape[1]:
+        return np.argsort(d2, axis=1, kind="stable")[:, :k]
+    part = np.argpartition(d2, k - 1, axis=1)
+    kth = np.take_along_axis(d2, part[:, k - 1:k], axis=1)
+    chosen = np.sort(part[:, :k], axis=1)
+    by_value = np.argsort(np.take_along_axis(d2, chosen, axis=1), axis=1,
+                          kind="stable")
+    nearest = np.take_along_axis(chosen, by_value, axis=1)
+    tied = np.count_nonzero(d2 <= kth, axis=1) != k
+    if tied.any():
+        nearest[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    return nearest
+
+
 class KnnModel(PredictiveModel):
     def __init__(self, train_x, train_y, m_classes, k, alpha, sigma):
-        # rows pre-sorted by original index: stable distance sort then
-        # breaks exact ties toward the lowest dataset row
+        # rows pre-sorted by original index: ordering neighbours by
+        # (distance, column) then breaks exact ties toward the lowest
+        # dataset row
         self._x = train_x
         self._y = train_y
         self._m = m_classes
@@ -227,8 +275,7 @@ class KnnModel(PredictiveModel):
     def _neighbor_labels(self, queries: np.ndarray) -> np.ndarray:
         d2 = (np.sum(queries ** 2, axis=1)[:, None] + self._sq[None, :]
               - 2.0 * queries @ self._x.T)
-        order = np.argsort(d2, axis=1, kind="stable")[:, : self._k]
-        return self._y[order]
+        return self._y[k_nearest(d2, self._k)]
 
     def class_log_probs(self, inputs: np.ndarray) -> np.ndarray:
         nb = self._neighbor_labels(inputs)
@@ -259,11 +306,25 @@ class KnnModel(PredictiveModel):
         return super().nll_terms(dataset, rows)
 
 
-class KnnLearner:
+class KnnLearner(Learner):
+    USES_SEED = False
+
     def __init__(self, k, alpha, sigma):
         self.k = k
         self.alpha = alpha
         self.sigma = sigma
+
+    def score_many(self, dataset: Dataset, jobs) -> list:
+        """Fits and scores one job at a time, keeping no model past its job."""
+        terms = []
+        for job in jobs:
+            try:
+                model = self.fit(dataset, job.train_rows, job.seed)
+            except TrainingFailure as exc:
+                exc.job = job
+                raise
+            terms.append(model.nll_terms(dataset, job.heldout_rows))
+        return terms
 
     def fit(self, dataset: Dataset, rows, seed: int) -> KnnModel:
         rows = np.asarray(rows, dtype=np.int64)
@@ -281,7 +342,9 @@ def knn_learner(k: int = 10, alpha: float = 1.0, sigma: float = 1.0) -> KnnLearn
     Class probabilities are (count + alpha) / (k + alpha * m); when fewer
     than k training rows exist the counts and denominator both use the
     actual neighbour count so probabilities stay normalized.  Regression
-    uses a Gaussian likelihood with scale ``sigma``.
+    uses a Gaussian likelihood with scale ``sigma``.  A fit keeps the
+    training rows and ignores the seed (``USES_SEED`` is False), so the
+    protocol scores jobs that differ only in the seed once.
     """
     if k < 1:
         raise InvalidArgument(f"k must be >= 1, got {k}")
@@ -358,6 +421,7 @@ class LogisticModel(PredictiveModel):
 
 class LogisticLearner(_StackedLearner):
     GRAD_TOL = 1e-7
+    USES_SEED = False
 
     def __init__(self, l2, epochs, lr):
         self.l2 = l2
@@ -403,7 +467,9 @@ def logistic_learner(l2: float = 0.0, epochs: int = 2000,
 
     Reference-class parameterization: (m-1)(d+1) weights including biases;
     the ridge penalty l2 applies to all of them.  Training is
-    deterministic (zero init), so the seed argument is ignored.
+    deterministic (zero init), so the seed argument is ignored
+    (``USES_SEED`` is False) and the protocol trains jobs that differ only
+    in the seed once.
     """
     if l2 < 0:
         raise InvalidArgument(f"l2 must be >= 0, got {l2}")
@@ -473,6 +539,7 @@ class MlpModel(PredictiveModel):
 
 class MlpLearner(_StackedLearner):
     MOMENTUM = 0.9
+    USES_SEED = True
 
     def __init__(self, hidden, epochs, lr_max, batch):
         self.hidden = hidden

@@ -8,12 +8,14 @@ model contributes one record: the summed held-out negative log-likelihood
 over its fold and the fold size.  Records aggregate into an
 :class:`EnergyCurve` with one point per N.
 
-Jobs are trained one sample size at a time, in plan order.  A learner
-with ``fit_many`` trains all of one N's jobs in a single call (the logistic
-learner stacks them into one batched gradient descent; the MLP learner
-splits them by training-set size, which differs by one between folds, and
-trains each part as one stacked minibatch SGD); any other learner is called
-once per job.
+Jobs are trained one sample size at a time, in plan order.  Every learner
+trains and scores all of one N's jobs in a single ``score_many`` call (the
+logistic learner stacks them into one batched gradient descent; the MLP
+learner splits them by training-set size, which differs by one between
+folds, and trains each part as one stacked minibatch SGD; the k-NN fits and
+scores one job at a time).  A learner whose fit ignores the seed
+(``USES_SEED`` False) is handed each distinct (train rows, held-out rows)
+pair once, and the jobs that differ only in the seed share its terms.
 
 Per-example NLL values are clamped to [0, 50] before summing so a single
 degenerate prediction cannot dominate a record; clamp events are counted
@@ -227,43 +229,45 @@ def clamped_nll_terms(raw_nll: np.ndarray) -> tuple:
     return clamped, events
 
 
-def _measure(dataset, model, job: Job, dataset_id: str) -> tuple:
-    """Score a trained model on its job's heldout fold."""
-    raw = model.nll_terms(dataset, job.heldout_rows)
-    terms, events = clamped_nll_terms(raw)
-    record = EnergyRecord(dataset_id, job.sample_size, job.boot_index,
-                          job.fold_index, job.seed_index,
-                          float(np.sum(terms)), int(job.heldout_rows.size))
-    return record, events
+def _distinct_jobs(learner, jobs) -> tuple:
+    """(jobs to score, each job's index among them).
 
-
-def evaluate_job(dataset, learner, job: Job, dataset_id: str) -> tuple:
-    """Train one model and measure it on its heldout fold.
-
-    Returns (EnergyRecord, clamp_events).
+    For a learner with ``USES_SEED`` False, jobs with equal train and
+    held-out rows are one job, scored at its first place in order.
     """
-    return _measure(dataset, learner.fit(dataset, job.train_rows, job.seed),
-                    job, dataset_id)
+    if learner.USES_SEED:
+        return list(jobs), range(len(jobs))
+    slots, distinct, index = {}, [], []
+    for job in jobs:
+        key = tuple(np.asarray(rows, dtype=np.int64).tobytes()
+                    for rows in (job.train_rows, job.heldout_rows))
+        if key not in slots:
+            slots[key] = len(distinct)
+            distinct.append(job)
+        index.append(slots[key])
+    return distinct, index
 
 
 def _evaluate_group(dataset, learner, jobs, dataset_id: str) -> list:
     """(EnergyRecord, clamp_events) for jobs of one sample size, in order.
 
-    A learner with ``fit_many`` trains the whole group in one call; any
-    other learner is trained and measured one job at a time.  A training
-    failure names its job in ``job``.
+    The learner's ``score_many`` trains and scores the group's distinct
+    jobs in one call (see the module docstring), and a training failure
+    names its job in ``job``.  Every job keeps its record, so seed copies
+    of a seed-free learner are recorded, and counted, as before.
     """
-    fit_many = getattr(learner, "fit_many", None)
-    if fit_many is not None:
-        return [_measure(dataset, model, job, dataset_id)
-                for job, model in zip(jobs, fit_many(dataset, jobs))]
+    distinct, index = _distinct_jobs(learner, jobs)
+    scored = []
+    for raw in learner.score_many(dataset, distinct):
+        terms, events = clamped_nll_terms(raw)
+        scored.append((float(np.sum(terms)), events))
     results = []
-    for job in jobs:
-        try:
-            results.append(evaluate_job(dataset, learner, job, dataset_id))
-        except TrainingFailure as exc:
-            exc.job = job
-            raise
+    for job, i in zip(jobs, index):
+        nll_sum, events = scored[i]
+        record = EnergyRecord(dataset_id, job.sample_size, job.boot_index,
+                              job.fold_index, job.seed_index, nll_sum,
+                              int(job.heldout_rows.size))
+        results.append((record, events))
     return results
 
 
@@ -277,12 +281,13 @@ def run_protocol(dataset, learner, config: ProtocolConfig,
                  dataset_id: str = "data", workers: int = 1) -> RunResult:
     """Plan, train, and collect records for the whole grid.
 
-    The jobs of each sample size are trained together, by the learner's
-    ``fit_many`` when it has one: in one stack for the logistic learner, in
-    one stack per training-set size for the MLP (see the module
-    docstring).  Records come out in plan order.  ``workers`` is accepted
-    for compatibility and changes nothing: everything runs in the calling
-    thread.
+    The jobs of each sample size are trained and scored together by the
+    learner's ``score_many``: in one stack for the logistic learner, in one
+    stack per training-set size for the MLP, one job at a time for the
+    k-NN, and each distinct job once for a learner that ignores the seed
+    (see the module docstring).  Records come out in plan order, one per
+    job.  ``workers`` is accepted for compatibility and changes nothing:
+    everything runs in the calling thread.
     """
     jobs = plan_experiment(config, dataset.n_rows)
     results = []

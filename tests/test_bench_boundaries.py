@@ -6,7 +6,8 @@ drop out of the traced run, which leaves it short of the per-layer metrics
 BENCHMARK.json lists.  These tests turn such a removal into a test failure,
 while a boundary may go when its layer keeps another one.  They also check
 that the learners and the sampler call the kernels through the module's
-attributes.  The tracing module imports only the standard library and is
+attributes, and that the k-NN's group path calls its traced methods through
+their classes.  The tracing module imports only the standard library and is
 loaded from its file, read-only.
 """
 
@@ -22,8 +23,11 @@ import capmeter
 import capmeter.cli  # noqa: F401  (loads every module the targets name)
 from capmeter import kernels
 from capmeter.learners import (
+    KnnLearner,
+    KnnModel,
     SyntheticConfig,
     gen_synthetic,
+    knn_learner,
     logistic_learner,
     mlp_learner,
 )
@@ -114,6 +118,24 @@ def test_kernels_are_called_through_the_module(monkeypatch):
     run_incremental_protocol(QuadraticEnergy([1.0]), RowCount(3), config)
     assert calls == {"logistic_gd_stack": 1, "mlp_sgd_stack": 1,
                      "sgld_chain_diag_quad": 1}
+
+
+def test_knn_group_fits_and_scores_through_the_class(monkeypatch):
+    # perfbench traces learners.knn.* and learners.nll_terms by rebinding
+    # these class attributes; one call each per distinct (train, held-out)
+    # job, since the k-NN ignores the seed
+    calls = Counter()
+    for owner, attr in ((KnnLearner, "fit"), (KnnModel, "nll_terms")):
+        def counted(*args, _attr=attr, _method=getattr(owner, attr)):
+            calls[_attr] += 1
+            return _method(*args)
+        monkeypatch.setattr(owner, attr, counted)
+
+    data = gen_synthetic(SyntheticConfig(d=2, kappa=0.0, seed=1), 40)
+    config = ProtocolConfig(n_grid=(20, 23), n_boots=2, k_folds=4, m_seeds=3)
+    result = run_protocol(data, knn_learner(k=3), config)
+    assert len(result.records) == 48
+    assert calls == {"fit": 16, "nll_terms": 16}
 
 
 def test_mlp_fit_many_calls_the_stack_kernel_through_the_module(monkeypatch):

@@ -19,6 +19,7 @@ from capmeter.learners import (
     REGRESSION,
     SyntheticConfig,
     gen_synthetic,
+    k_nearest,
     knn_learner,
     load_tabular,
     logistic_grad,
@@ -31,8 +32,8 @@ from capmeter.learners import (
 from capmeter.protocol import (
     Job,
     ProtocolConfig,
+    clamped_nll_terms,
     estimate_avg_energy,
-    evaluate_job,
     loocv_avg_energy,
     plan_experiment,
     run_protocol,
@@ -178,6 +179,72 @@ class TestKnn:
             knn_learner(k=0)
         with pytest.raises(InvalidArgument):
             knn_learner(k=1, alpha=0.0)
+
+
+def stable_nearest(d2, k):
+    return np.argsort(d2, axis=1, kind="stable")[:, :k]
+
+
+class TestKnnSelection:
+    """Top-k by partition against the stable sort it replaces.
+
+    Ties must break toward the lower column (the lower dataset row), and
+    the k neighbours must come in the sort's order, since the regression
+    mean sums them in that order.
+    """
+
+    @pytest.mark.parametrize("k", [1, 3, 10, 29, 30, 35])
+    @pytest.mark.parametrize("kind", ["integers", "rounded", "equal", "distinct"])
+    def test_matches_stable_sort(self, kind, k):
+        rng = np.random.default_rng(k)
+        shape = (50, 30)
+        d2 = {"integers": lambda: rng.integers(0, 5, shape).astype(float),
+              "rounded": lambda: np.round(rng.standard_normal(shape), 1),
+              "equal": lambda: np.full(shape, 2.5),
+              "distinct": lambda: rng.standard_normal(shape)}[kind]()
+        assert np.array_equal(k_nearest(d2, k), stable_nearest(d2, k))
+
+    def test_random_tie_heavy_matrices(self):
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            q, n = rng.integers(0, 12), rng.integers(1, 25)
+            d2 = rng.integers(0, rng.integers(1, 6), (q, n)).astype(float)
+            d2[rng.random(q) < 0.2] = 1.0  # whole rows of equal distances
+            k = int(rng.integers(1, n + 1))
+            assert np.array_equal(k_nearest(d2, k), stable_nearest(d2, k))
+
+    def lattice_model(self, labels, k, regression=False):
+        # inputs on an integer grid give exact distance ties, and a
+        # bootstrap draw repeats training rows
+        rng = np.random.default_rng(11)
+        x = rng.integers(0, 3, (40, 2)).astype(float)
+        y = labels(rng, 40)
+        ds = Dataset(x, y, REGRESSION if regression else 3)
+        rows = rng.integers(0, 40, 25)
+        model = knn_learner(k=k, alpha=0.7).fit(ds, rows, 0)
+        train = np.sort(rows)
+        queries = np.vstack([rng.integers(0, 3, (30, 2)).astype(float),
+                             rng.normal(size=(10, 2))])
+        xt = ds.inputs[train]
+        d2 = (np.sum(queries ** 2, axis=1)[:, None]
+              + np.sum(xt ** 2, axis=1)[None, :] - 2.0 * queries @ xt.T)
+        return model, queries, ds.labels[train][stable_nearest(d2, k)]
+
+    @pytest.mark.parametrize("k", [1, 4, 10, 25, 40])
+    def test_class_log_probs_match_stable_sort(self, k):
+        model, queries, nb = self.lattice_model(
+            lambda rng, n: rng.integers(0, 3, n), k)
+        kk = min(k, 25)
+        counts = np.zeros((queries.shape[0], 3))
+        np.add.at(counts, (np.arange(queries.shape[0])[:, None], nb), 1.0)
+        want = np.log((counts + 0.7) / (kk + 0.7 * 3))
+        assert np.array_equal(model.class_log_probs(queries), want)
+
+    @pytest.mark.parametrize("k", [1, 4, 10, 25, 40])
+    def test_regression_mean_matches_stable_sort(self, k):
+        model, queries, nb = self.lattice_model(
+            lambda rng, n: rng.normal(size=n) * 1e3, k, regression=True)
+        assert np.array_equal(model.predict_mean(queries), np.mean(nb, axis=1))
 
 
 class TestLogistic:
@@ -360,15 +427,16 @@ class TestLogisticFitMany:
         cfg = ProtocolConfig(n_grid=(20, 33, 80), n_boots=2, k_folds=5,
                              m_seeds=2, master_seed=1)
         grouped = run_protocol(ds, learner, cfg).records
-        per_job = [evaluate_job(ds, learner, job, "data")[0]
-                   for job in plan_experiment(cfg, ds.n_rows)]
-        assert len(grouped) == len(per_job) == 60
-        for a, b in zip(grouped, per_job):
-            assert (a.sample_size, a.boot_index, a.fold_index, a.seed_index,
-                    a.heldout_count) == (b.sample_size, b.boot_index,
-                                         b.fold_index, b.seed_index,
-                                         b.heldout_count)
-            assert a.nll_sum == pytest.approx(b.nll_sum, rel=1e-12)
+        jobs = plan_experiment(cfg, ds.n_rows)
+        assert len(grouped) == len(jobs) == 60
+        for rec, job in zip(grouped, jobs):
+            assert (rec.sample_size, rec.boot_index, rec.fold_index,
+                    rec.seed_index, rec.heldout_count) == (
+                job.sample_size, job.boot_index, job.fold_index,
+                job.seed_index, job.heldout_rows.size)
+            model = learner.fit(ds, job.train_rows, job.seed)
+            terms, _ = clamped_nll_terms(model.nll_terms(ds, job.heldout_rows))
+            assert rec.nll_sum == pytest.approx(float(np.sum(terms)), rel=1e-12)
 
     def test_first_failing_job_raises_fits_error(self):
         # rows 0-29 are tame; row 30 sends the logits past overflow

@@ -9,22 +9,30 @@ from capmeter.errors import (
     ConfigError,
     DuplicateKey,
     EmptyGroup,
+    EmptyTrainingSet,
     InvalidArgument,
     InvariantViolation,
     NonFinite,
     ParseError,
     TrainingFailure,
 )
-from capmeter.learners import SyntheticConfig, gen_synthetic, mlp_learner
+from capmeter.learners import (
+    Learner,
+    SyntheticConfig,
+    gen_synthetic,
+    knn_learner,
+    logistic_learner,
+    mlp_learner,
+)
 from capmeter.protocol import (
     EnergyCurve,
     EnergyRecord,
     Job,
     ProtocolConfig,
+    _evaluate_group,
     clamped_nll_terms,
     default_n_grid,
     estimate_avg_energy,
-    evaluate_job,
     ingest_records,
     loocv_avg_energy,
     plan_experiment,
@@ -53,51 +61,75 @@ class MeanModel:
         return (y - self.mu) ** 2 + 0.1
 
 
-class MeanLearner:
-    def fit(self, dataset, rows, seed):
-        return MeanModel(float(np.mean(dataset.labels[np.asarray(rows)])))
-
-
-class GroupMeanLearner(MeanLearner):
-    """MeanLearner that also trains a group at once, logging each call."""
+class MeanLearner(Learner):
+    """Fits the train-label mean and scores each job it is handed, logging
+    the jobs of every ``score_many`` call.  Declares nothing, so it counts
+    as a learner that uses the seed."""
 
     def __init__(self, fail_at=None):
         self.groups = []
         self.fail_at = fail_at
 
-    def fit_many(self, dataset, jobs):
-        self.groups.append([job.sample_size for job in jobs])
+    def fit(self, dataset, rows, seed):
+        return MeanModel(float(np.mean(dataset.labels[np.asarray(rows)])))
+
+    def score_many(self, dataset, jobs):
+        self.groups.append(list(jobs))
         if self.fail_at is not None:
             raise TrainingFailure("diverged", job=jobs[self.fail_at])
-        return [self.fit(dataset, job.train_rows, job.seed) for job in jobs]
+        return [self.fit(dataset, job.train_rows, job.seed).nll_terms(
+            dataset, job.heldout_rows) for job in jobs]
+
+    def sizes(self):
+        return [[job.sample_size for job in group] for group in self.groups]
+
+    def handed(self):
+        """(N, boot, fold, seed index) of every job scored, in order."""
+        return [job_key(job) for group in self.groups for job in group]
+
+
+class SeedFreeMeanLearner(MeanLearner):
+    USES_SEED = False
 
 
 class FailsWithoutRowLearner(MeanLearner):
-    """fit fails whenever its training rows leave out one given row."""
+    """Fails on the first job whose training rows leave out one given row."""
 
     def __init__(self, row):
+        super().__init__()
         self.row = row
 
-    def fit(self, dataset, rows, seed):
-        if self.row not in np.asarray(rows):
-            raise TrainingFailure("diverged")
-        return super().fit(dataset, rows, seed)
+    def score_many(self, dataset, jobs):
+        for job in jobs:
+            if self.row not in job.train_rows:
+                raise TrainingFailure("diverged", job=job)
+        return super().score_many(dataset, jobs)
 
 
-class FixedTermsModel:
+class FixedTermsLearner(Learner):
     def __init__(self, terms):
         self.terms = np.asarray(terms, dtype=np.float64)
 
-    def nll_terms(self, dataset, rows):
-        return self.terms[: len(rows)]
+    def score_many(self, dataset, jobs):
+        return [self.terms[: job.heldout_rows.size] for job in jobs]
 
 
-class FixedTermsLearner:
-    def __init__(self, terms):
-        self.terms = terms
+def job_key(job):
+    return (job.sample_size, job.boot_index, job.fold_index, job.seed_index)
 
-    def fit(self, dataset, rows, seed):
-        return FixedTermsModel(self.terms)
+
+def per_job_records(dataset, learner, jobs, dataset_id="data"):
+    """(records, clamp events) from one ``fit`` and ``nll_terms`` per job."""
+    records, events = [], 0
+    for job in jobs:
+        model = learner.fit(dataset, job.train_rows, job.seed)
+        terms, ev = clamped_nll_terms(model.nll_terms(dataset, job.heldout_rows))
+        records.append(EnergyRecord(dataset_id, job.sample_size, job.boot_index,
+                                    job.fold_index, job.seed_index,
+                                    float(np.sum(terms)),
+                                    int(job.heldout_rows.size)))
+        events += ev
+    return records, events
 
 
 def make_record(n, boot=0, fold=0, seed=0, nll=1.0, count=1, dataset_id="d"):
@@ -222,11 +254,11 @@ class TestClamp:
         terms, events = clamped_nll_terms(np.array([0.0, 50.0, 7.0]))
         assert events == 0
 
-    def test_evaluate_job_counts_clamps(self):
+    def test_group_counts_clamps(self):
         ds = FakeDataset([0.0, 1.0, 0.0, 1.0])
         job = Job(4, 0, 0, 0, 1, np.array([0, 1]), np.array([2, 3]))
-        record, events = evaluate_job(ds, FixedTermsLearner([200.0, 1.0]),
-                                      job, "d")
+        [(record, events)] = _evaluate_group(
+            ds, FixedTermsLearner([200.0, 1.0]), [job], "d")
         assert record.nll_sum == pytest.approx(51.0)
         assert events == 1
 
@@ -308,29 +340,76 @@ class TestRunProtocol:
         threaded = run_protocol(ds, MeanLearner(), cfg, workers=4)
         assert serial.records == threaded.records
 
-    def test_fit_many_trains_each_sample_size_in_one_call(self):
+    def test_score_many_scores_each_sample_size_in_one_call(self):
         ds = FakeDataset(np.arange(30) % 3)
         cfg = ProtocolConfig(n_grid=(10, 13, 20), n_boots=2, k_folds=3,
                              m_seeds=2, master_seed=5)
-        learner = GroupMeanLearner()
+        learner = MeanLearner()
         grouped = run_protocol(ds, learner, cfg)
-        assert learner.groups == [[n] * 12 for n in (10, 13, 20)]
-        per_job = [evaluate_job(ds, MeanLearner(), job, "data")
-                   for job in plan_experiment(cfg, ds.n_rows)]
-        assert grouped.records == [rec for rec, _ in per_job]
-        assert grouped.clamp_events == sum(ev for _, ev in per_job)
+        assert learner.sizes() == [[n] * 12 for n in (10, 13, 20)]
+        records, events = per_job_records(ds, learner,
+                                          plan_experiment(cfg, ds.n_rows))
+        assert grouped.records == records
+        assert grouped.clamp_events == events
+
+    def test_seeded_learner_is_handed_every_job(self):
+        ds = FakeDataset(np.arange(30) % 3)
+        cfg = ProtocolConfig(n_grid=(10, 13), n_boots=2, k_folds=3, m_seeds=3)
+        learner = MeanLearner()
+        run_protocol(ds, learner, cfg)
+        assert learner.handed() == [
+            job_key(job) for job in plan_experiment(cfg, ds.n_rows)]
+
+    def test_seed_free_learner_scores_each_distinct_job_once(self):
+        ds = FakeDataset(np.arange(40) % 3)
+        cfg = ProtocolConfig(n_grid=(10, 13, 20), n_boots=2, k_folds=3,
+                             m_seeds=3, master_seed=2)
+        jobs = plan_experiment(cfg, ds.n_rows)
+        learner = SeedFreeMeanLearner()
+        result = run_protocol(ds, learner, cfg)
+        # one job per (N, boot, fold), the first of its seed copies
+        assert learner.handed() == [job_key(job) for job in jobs
+                                    if job.seed_index == 0]
+        assert learner.sizes() == [[n] * 6 for n in (10, 13, 20)]
+        # every copy keeps its record, with the terms of its distinct job
+        records, events = per_job_records(ds, learner, jobs)
+        assert result.records == records
+        assert result.clamp_events == events
+
+    def test_seed_free_learner_keys_on_row_contents(self):
+        # separate arrays with equal rows are one job; any differing row is not
+        ds = FakeDataset(np.arange(8) * 0.5)
+        train, heldout = np.array([0, 1, 2, 2]), np.array([3])
+        jobs = [Job(5, 0, 0, 0, 1, train, heldout),
+                Job(5, 1, 0, 0, 2, train.copy(), heldout.copy()),
+                Job(5, 2, 0, 0, 3, np.array([0, 1, 2, 3]), heldout),
+                Job(5, 3, 0, 0, 4, train, np.array([4]))]
+        learner = SeedFreeMeanLearner()
+        results = _evaluate_group(ds, learner, jobs, "d")
+        assert learner.handed() == [job_key(jobs[k]) for k in (0, 2, 3)]
+        assert results[0][0].nll_sum == results[1][0].nll_sum
+        assert [rec.boot_index for rec, _ in results] == [0, 1, 2, 3]
 
     def test_training_failure_names_its_job(self):
         ds = FakeDataset(np.arange(12) % 2)
         cfg = ProtocolConfig(n_grid=(10,), n_boots=1, k_folds=2, m_seeds=1)
         jobs = plan_experiment(cfg, ds.n_rows)
         with pytest.raises(TrainingFailure) as err:
-            run_protocol(ds, GroupMeanLearner(fail_at=1), cfg)
+            run_protocol(ds, MeanLearner(fail_at=1), cfg)
         assert err.value.job.fold_index == jobs[1].fold_index == 1
         learner = FailsWithoutRowLearner(int(jobs[0].heldout_rows[0]))
         with pytest.raises(TrainingFailure) as err:
             run_protocol(ds, learner, cfg)
         assert err.value.job.fold_index == 0
+
+    def test_knn_empty_training_set_carries_its_job(self):
+        ds = gen_synthetic(SyntheticConfig(d=2, seed=1), 10)
+        rows = np.arange(8)
+        jobs = [Job(10, 0, 0, s, s, rows, np.array([8, 9])) for s in (0, 1)]
+        jobs += [Job(10, 0, 1, s, s, rows[:0], np.array([0, 1])) for s in (0, 1)]
+        with pytest.raises(EmptyTrainingSet) as err:
+            _evaluate_group(ds, knn_learner(k=3), jobs, "d")
+        assert err.value.job is jobs[2]
 
     def test_mlp_records_match_per_job_evaluation(self):
         # grid points 33 and 47 give fold train sizes n and n - 1, so their
@@ -341,11 +420,32 @@ class TestRunProtocol:
         cfg = ProtocolConfig(n_grid=(20, 33, 47), n_boots=2, k_folds=5,
                              m_seeds=2, master_seed=4)
         grouped = run_protocol(ds, learner, cfg)
-        per_job = [evaluate_job(ds, learner, job, "data")
-                   for job in plan_experiment(cfg, ds.n_rows)]
+        records, events = per_job_records(ds, learner,
+                                          plan_experiment(cfg, ds.n_rows))
         assert len(grouped.records) == 60
-        assert grouped.records == [rec for rec, _ in per_job]
-        assert grouped.clamp_events == sum(ev for _, ev in per_job)
+        assert grouped.records == records
+        assert grouped.clamp_events == events
+
+    @pytest.mark.parametrize("learner", [
+        logistic_learner(l2=1e-3, epochs=30, lr=0.5),
+        knn_learner(k=4, alpha=0.5),
+    ], ids=["logistic", "knn"])
+    def test_seed_free_records_match_per_job_fits_bitwise(self, learner):
+        # N divisible by k_folds: every job of a group has one training-set
+        # size, so a stacked logistic fit pads nothing and matches its
+        # one-job fit bit for bit
+        ds = gen_synthetic(SyntheticConfig(d=3, kappa=0.5, teacher_hidden=4,
+                                           m_classes=3, seed=6), 70)
+        cfg = ProtocolConfig(n_grid=(20, 35, 70), n_boots=2, k_folds=5,
+                             m_seeds=3, master_seed=8)
+        grouped = run_protocol(ds, learner, cfg)
+        records, events = per_job_records(ds, learner,
+                                          plan_experiment(cfg, ds.n_rows))
+        assert len(records) == 90
+        assert [r.nll_sum.hex() for r in grouped.records] == [
+            r.nll_sum.hex() for r in records]
+        assert grouped.records == records
+        assert grouped.clamp_events == events
 
     def test_records_aggregate_for_grid(self):
         ds = FakeDataset(np.arange(25) % 2)
@@ -371,27 +471,28 @@ class TestLoocv:
         labels = np.arange(6) % 2 * 1.0
         ds = FakeDataset(labels)
         learner = MeanLearner()
-        records = []
-        for i in range(6):
-            rows = np.delete(np.arange(6), i)
-            job = Job(6, 0, i, 0, 0, rows, np.array([i]))
-            rec, _ = evaluate_job(ds, learner, job, "d")
-            records.append(rec)
+        jobs = [Job(6, 0, i, 0, 0, np.delete(np.arange(6), i), np.array([i]))
+                for i in range(6)]
+        records, _ = per_job_records(ds, learner, jobs, "d")
         curve = estimate_avg_energy(records)
         assert curve.u_mean[0] == loocv_avg_energy(learner, ds, seed=0)
 
     def test_grouped_fit_gives_the_same_estimate(self):
         ds = FakeDataset(np.arange(7) % 3 * 0.5)
-        learner = GroupMeanLearner()
-        assert loocv_avg_energy(learner, ds) == loocv_avg_energy(MeanLearner(), ds)
-        assert learner.groups == [[7] * 7]
+        learner = MeanLearner()
+        jobs = [Job(7, 0, i, 0, 0, np.delete(np.arange(7), i), np.array([i]))
+                for i in range(7)]
+        records, _ = per_job_records(ds, learner, jobs)
+        assert loocv_avg_energy(learner, ds) == sum(
+            rec.nll_sum for rec in records) / 7
+        assert learner.sizes() == [[7] * 7]
 
     def test_failure_names_the_left_out_row(self):
         ds = FakeDataset(np.arange(5) * 1.0)
         with pytest.raises(TrainingFailure, match="failed at row 3: diverged"):
             loocv_avg_energy(FailsWithoutRowLearner(3), ds)
         with pytest.raises(TrainingFailure, match="failed at row 2: diverged"):
-            loocv_avg_energy(GroupMeanLearner(fail_at=2), ds)
+            loocv_avg_energy(MeanLearner(fail_at=2), ds)
 
     def test_needs_two_rows(self):
         with pytest.raises(InvalidArgument):
