@@ -17,6 +17,10 @@ C reaches a/2 (with a data-vs-architecture guidance tag, undetermined when
 the profile in log n* leaves n* open), Kendall's tau-b for cross-model rank
 agreement, and an ordinary least-squares capacity-loss regression with a
 slope p-value.
+
+``scipy.special`` is imported inside the functions that call it, so
+importing the CLI does not load it and commands that fit no sigmoid start
+without it.
 """
 
 import enum
@@ -24,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import (
     AllTied,
@@ -304,7 +307,9 @@ class SigmoidCapacityModel:
         object.__setattr__(self, "n_star_interval", (lo, hi))
 
     def capacity(self, n):
-        return self.a * special.expit(self.c * np.log(n) - self.b)
+        from scipy.special import expit
+
+        return self.a * expit(self.c * np.log(n) - self.b)
 
 
 def energy_from_sigmoid(model: SigmoidCapacityModel, n: float) -> float:
@@ -336,9 +341,11 @@ def _sigmoid_tail(a: float, b: float, c: float, n):
     evaluated from log z, so it stays finite where e^b or N^-c would
     overflow; c = 0 leaves a constant integrand.
     """
+    from scipy.special import expit
+
     n = np.asarray(n, dtype=np.float64)
     if c == 0.0:
-        return a / n * special.expit(-b)
+        return a / n * expit(-b)
     return a / n * _hyp2f1_tail(b - c * np.log(n), 1.0 / c)
 
 
@@ -356,12 +363,13 @@ def _hyp2f1_tail(log_z, beta: float) -> np.ndarray:
     m = round(beta), cancels; that pair is summed in a form with a finite
     limit as beta - m goes to 0.
     """
+    from scipy.special import expit, exprel, hyp2f1
+
     log_z = np.asarray(log_z, dtype=np.float64)
     out = np.empty(log_z.shape)
     low = log_z <= _LOG_Z_SPLIT
     x = log_z[low]
-    out[low] = (special.hyp2f1(1.0, 1.0, 1.0 + beta, special.expit(x))
-                * special.expit(-x))
+    out[low] = hyp2f1(1.0, 1.0, 1.0 + beta, expit(x)) * expit(-x)
     x = log_z[~low]
     j = _INVERSE_J
     m = float(round(beta))
@@ -373,7 +381,7 @@ def _hyp2f1_tail(log_z, beta: float) -> np.ndarray:
         lead = np.exp(-beta * x) * (np.pi * beta / np.sin(np.pi * beta))
     else:
         # (z^-beta - z^-m) / eps, bounded for either sign of eps
-        gap = -x * np.exp(-min(m, beta) * x) * special.exprel(-abs(eps) * x)
+        gap = -x * np.exp(-min(m, beta) * x) * exprel(-abs(eps) * x)
         sign = 1.0 - 2.0 * (m % 2.0)
         lead = sign * beta * (gap + np.exp(-beta * x) * _pi_csc_minus_inverse(eps))
     out[~low] = lead + series
@@ -421,12 +429,14 @@ def _tail_slope(log_z, beta: float, tail) -> np.ndarray:
     cancel, and the slope is summed as
     -beta z/(1+beta) 2F1(2, 1+beta; 2+beta; -z) instead.
     """
+    from scipy.special import expit, hyp2f1
+
     log_z = np.asarray(log_z, dtype=np.float64)
-    slope = beta * (special.expit(-log_z) - tail)
+    slope = beta * (expit(-log_z) - tail)
     small = log_z < _LOG_Z_SMALL
     z = np.exp(log_z[small])
     slope[small] = (-beta / (1.0 + beta) * z
-                    * special.hyp2f1(2.0, 1.0 + beta, 2.0 + beta, -z))
+                    * hyp2f1(2.0, 1.0 + beta, 2.0 + beta, -z))
     return slope
 
 
@@ -474,6 +484,8 @@ class _Shape:
         the small-z slope gives to full relative precision, by a central
         difference.
         """
+        from scipy.special import expit
+
         ell, gamma = self.theta
         x, c = self.x, self.c
         slope = _tail_slope(self.log_z, 1.0 / c, self.tail)
@@ -485,8 +497,7 @@ class _Shape:
 
         d_excess = (excess(gamma + _LOG_C_STEP)
                     - excess(gamma - _LOG_C_STEP)) / (2.0 * _LOG_C_STEP)
-        d_step = (-special.expit(self.log_z) * special.expit(-self.log_z)
-                  * self.log_z)
+        d_step = -expit(self.log_z) * expit(-self.log_z) * self.log_z
         return (np.column_stack([c * slope, d_step + d_excess])
                 * np.exp(-x)[:, None])
 
@@ -689,9 +700,11 @@ def fit_sigmoid_capacity(curve: EnergyCurve, init=None) -> SigmoidCapacityModel:
 def capacity_from_sigmoid(model: SigmoidCapacityModel,
                           n: float) -> CapacityEstimate:
     """Direct sigmoid evaluation with a delta-method stderr."""
+    from scipy.special import expit
+
     n = float(n)
     x = np.log(n)
-    s = special.expit(model.c * x - model.b)
+    s = expit(model.c * x - model.b)
     value = model.a * s
     grad = np.array([s, -model.a * s * (1 - s), model.a * s * (1 - s) * x, 0.0])
     var = float(grad @ model.covariance @ grad)
@@ -802,5 +815,7 @@ def capacity_loss_regression(points):
         p_value = 0.0 if slope != 0.0 else 1.0
     else:
         t_stat = slope / se
-        p_value = float(2.0 * special.stdtr(dof, -abs(t_stat)))
+        from scipy.special import stdtr
+
+        p_value = float(2.0 * stdtr(dof, -abs(t_stat)))
     return slope, intercept, p_value

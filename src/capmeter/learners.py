@@ -223,9 +223,11 @@ class _StackedLearner(Learner):
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    mx = np.max(logits, axis=-1, keepdims=True)
-    z = logits - mx
-    return z - np.log(np.sum(np.exp(z), axis=-1, keepdims=True))
+    z = logits - kernels.class_max(logits)
+    lse = kernels.class_sum(np.exp(z))
+    np.log(lse, out=lse)
+    z -= lse
+    return z
 
 
 def _one_hot(labels: np.ndarray, m: int, start: int = 0) -> np.ndarray:
@@ -241,22 +243,34 @@ def k_nearest(d2: np.ndarray, k: int) -> np.ndarray:
     """Columns of the k smallest entries of each row of ``d2``, ordered by
     (value, column): ``np.argsort(d2, axis=1, kind="stable")[:, :k]``.
 
-    Rows are selected by partition, and only the k chosen columns are
-    sorted.  A row with more than k entries at or below its k-th smallest
-    value, where a tie crosses the cut, falls back to the stable sort.
+    ``np.partition`` gives each row's k-th smallest value; the row keeps
+    every column below it and, in column order, as many columns equal to it
+    as fill k (a cumulative count over the rows where ties cross the cut),
+    so a tie goes to the lowest columns with no sort of the row.  Only the
+    k kept columns are stable-sorted by value.  A row whose k-th smallest
+    value is NaN, so that fewer than k entries compare, is sorted in full.
     """
-    if k >= d2.shape[1]:
-        return np.argsort(d2, axis=1, kind="stable")[:, :k]
-    part = np.argpartition(d2, k - 1, axis=1)
-    kth = np.take_along_axis(d2, part[:, k - 1:k], axis=1)
-    chosen = np.sort(part[:, :k], axis=1)
-    by_value = np.argsort(np.take_along_axis(d2, chosen, axis=1), axis=1,
-                          kind="stable")
-    nearest = np.take_along_axis(chosen, by_value, axis=1)
-    tied = np.count_nonzero(d2 <= kth, axis=1) != k
-    if tied.any():
-        nearest[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
-    return nearest
+    k = min(k, d2.shape[1])
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    nan = np.isnan(kth[:, 0])
+    if nan.any():
+        nearest = np.empty((d2.shape[0], k), dtype=np.intp)
+        nearest[nan] = np.argsort(d2[nan], axis=1, kind="stable")[:, :k]
+        nearest[~nan] = k_nearest(d2[~nan], k)
+        return nearest
+    keep = d2 < kth
+    tied = d2 == kth
+    room = k - np.count_nonzero(keep, axis=1)
+    keep |= tied
+    # where the ties cross the cut, drop the tied columns past the first room
+    cross = np.flatnonzero(np.count_nonzero(tied, axis=1) > room)
+    if cross.size:
+        ties = tied[cross]
+        keep[cross] ^= ties & (np.cumsum(ties, axis=1) > room[cross, None])
+    # flat positions of the k kept entries, row by row in column order
+    flat = np.flatnonzero(keep).reshape(-1, k)
+    by_value = np.argsort(d2.take(flat), axis=1, kind="stable")
+    return np.take_along_axis(flat, by_value, axis=1) % d2.shape[1]
 
 
 class KnnModel(PredictiveModel):
@@ -279,9 +293,11 @@ class KnnModel(PredictiveModel):
 
     def class_log_probs(self, inputs: np.ndarray) -> np.ndarray:
         nb = self._neighbor_labels(inputs)
-        counts = np.zeros((inputs.shape[0], self._m))
-        np.add.at(counts, (np.arange(inputs.shape[0])[:, None], nb), 1.0)
-        probs = (counts + self._alpha) / (self._k + self._alpha * self._m)
+        # neighbours per (row, class), counted in one bincount
+        q, m = nb.shape[0], self._m
+        slots = nb + m * np.arange(q)[:, None]
+        counts = np.bincount(slots.ravel(), minlength=q * m).reshape(q, m)
+        probs = (counts + self._alpha) / (self._k + self._alpha * m)
         return np.log(probs)
 
     def predict_mean(self, inputs: np.ndarray) -> np.ndarray:
@@ -516,10 +532,10 @@ def mlp_grad(params, inputs: np.ndarray, labels: np.ndarray):
     delta = p - _one_hot(labels, p.shape[-1])
     delta /= n
     g_w2 = np.swapaxes(h, -1, -2) @ delta
-    g_b2 = delta.sum(axis=-2)
+    g_b2 = kernels.batch_sum(delta)
     back = (delta @ np.swapaxes(w2, -1, -2)) * (pre > 0.0)
     g_w1 = np.swapaxes(inputs, -1, -2) @ back
-    g_b1 = back.sum(axis=-2)
+    g_b1 = kernels.batch_sum(back)
     return g_w1, g_b1, g_w2, g_b2
 
 

@@ -692,6 +692,18 @@ class TestCapacityLossRegression:
                              timeout=120)
         assert out.stdout.strip() == "False"
 
+    def test_cli_import_leaves_scipy_special_unloaded(self):
+        # the estimators import scipy.special where they call it, so the
+        # commands that fit nothing start without it
+        src = str(Path(capmeter.__file__).resolve().parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys, capmeter.cli; "
+                "assert 'scipy.special' not in sys.modules, 'scipy.special'")
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       capture_output=True, text=True, env=env, timeout=120)
+
     def test_degenerate_design(self):
         with pytest.raises(DegenerateDesign):
             capacity_loss_regression([(1.0, 0.1), (1.0, 0.2), (1.0, 0.3)])

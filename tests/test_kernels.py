@@ -201,6 +201,47 @@ def mlp_problem(seed=1, n=32, d=4, h=5, m=2, epochs=3):
     return X, y, (W1, b1, W2, b2), perms
 
 
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64),
+                                                 b.view(np.uint64))
+
+
+class TestShortReductions:
+    """The class and batch helpers against the numpy reductions they
+    replace, bit for bit."""
+
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_class_helpers_match_numpy(self, m):
+        rng = np.random.default_rng(m)
+        a = rng.standard_normal((3, 50, m)) * 10.0 ** rng.integers(-8, 9, (3, 50, m))
+        a[0, :8] = rng.choice([np.inf, -np.inf, np.nan, 0.0, -0.0, 1.5], (8, m))
+        a[1, 0] = -0.0
+        a[1, 1] = np.inf
+        a[1, 2] = -np.inf
+        a[1, 3, 0] = np.nan
+        with np.errstate(invalid="ignore"):
+            for x in (a, a[1], np.asfortranarray(a[2])):
+                assert same_bits(kernels.class_max(x),
+                                 np.max(x, axis=-1, keepdims=True))
+                assert same_bits(kernels.class_sum(x),
+                                 np.sum(x, axis=-1, keepdims=True))
+
+    @pytest.mark.parametrize("width", [1, 2, 5, 16])
+    @pytest.mark.parametrize("jobs", [1, 10])
+    @pytest.mark.parametrize("rows", [7, 64])
+    def test_batch_sum_matches_numpy(self, width, jobs, rows):
+        rng = np.random.default_rng(width * jobs + rows)
+        a = (rng.standard_normal((jobs, rows, width))
+             * 10.0 ** rng.integers(-8, 9, (jobs, rows, width)))
+        want = a.sum(axis=1)
+        assert same_bits(kernels.batch_sum(a), want)
+        assert same_bits(kernels.batch_sum(a[0]), a[0].sum(axis=0))
+        out = np.empty((jobs, width))
+        kernels.batch_sum(a, out=out)
+        assert same_bits(out, want)
+
+
 class TestSgldChain:
     def chain_args(self, steps=200, p=3, kept=50, seed=5):
         rng = np.random.default_rng(seed)

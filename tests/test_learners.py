@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from capmeter import kernels
 from capmeter.errors import (
     ConfigError,
     EmptyTrainingSet,
@@ -26,6 +27,7 @@ from capmeter.learners import (
     logistic_learner,
     logistic_log_probs,
     mlp_grad,
+    mlp_init,
     mlp_learner,
     mlp_log_probs,
 )
@@ -246,6 +248,72 @@ class TestKnnSelection:
             lambda rng, n: rng.normal(size=n) * 1e3, k, regression=True)
         assert np.array_equal(model.predict_mean(queries), np.mean(nb, axis=1))
 
+    def protocol_distances(self):
+        """(job, d2) per job of a bootstrap plan, d2 as ``KnnModel`` forms it:
+        held-out rows against the sorted training multiset, which repeats
+        rows and may hold the held-out rows themselves."""
+        ds = gen_synthetic(SyntheticConfig(d=4, kappa=1.0, seed=1), 80)
+        jobs = plan_experiment(ProtocolConfig(n_grid=(20, 80), n_boots=3,
+                                              k_folds=4, m_seeds=1), 80)
+        out = []
+        for job in jobs:
+            train = ds.inputs[np.sort(job.train_rows)]
+            queries = ds.inputs[job.heldout_rows]
+            out.append((job, np.sum(queries ** 2, axis=1)[:, None]
+                        + np.sum(train ** 2, axis=1)[None, :]
+                        - 2.0 * queries @ train.T))
+        return ds, out
+
+    def test_protocol_multisets_match_stable_sort(self):
+        _, pairs = self.protocol_distances()
+        # the plan does repeat training rows and hold out rows it trains on
+        assert sum(np.unique(job.train_rows).size < job.train_rows.size
+                   for job, _ in pairs) > len(pairs) / 2
+        assert sum(np.isin(job.heldout_rows, job.train_rows).sum()
+                   for job, _ in pairs) > 20
+        for job, d2 in pairs:
+            n = d2.shape[1]
+            for k in sorted({1, 2, 10, n - 1, n}):
+                assert np.array_equal(k_nearest(d2, k), stable_nearest(d2, k))
+
+    def test_zero_distance_ties_across_the_cut(self):
+        # a held-out row drawn twice into its training multiset sits at
+        # distance 0 from both copies, so k = 1 cuts through a tie
+        _, pairs = self.protocol_distances()
+        crossing = 0
+        for _, d2 in pairs:
+            zeros = np.count_nonzero(d2 == d2.min(axis=1, keepdims=True), axis=1)
+            crossing += np.count_nonzero(zeros > 1)
+            assert np.array_equal(k_nearest(d2, 1), stable_nearest(d2, 1))
+        assert crossing > 0
+
+    def test_non_finite_distances(self):
+        _, pairs = self.protocol_distances()
+        d2 = pairs[-1][1].copy()
+        n = d2.shape[1]
+        d2[0, ::3] = np.inf  # inf below the cut for k near n
+        d2[1, :] = np.inf  # every entry tied at inf
+        d2[2, 5] = -np.inf
+        d2[3, ::2] = np.nan  # fewer than k entries compare
+        for k in (1, 10, n // 2 + 1, n - 1, n):
+            assert np.array_equal(k_nearest(d2, k), stable_nearest(d2, k))
+
+    def test_class_log_probs_when_k_exceeds_the_training_rows(self):
+        ds, pairs = self.protocol_distances()
+        job = pairs[0][0]
+        rows = job.train_rows[:3]  # three draws, one repeated or not
+        model = knn_learner(k=10, alpha=0.5).fit(ds, rows, 0)
+        queries = ds.inputs[job.heldout_rows]
+        train = np.sort(rows)
+        xt = ds.inputs[train]
+        d2 = (np.sum(queries ** 2, axis=1)[:, None]
+              + np.sum(xt ** 2, axis=1)[None, :] - 2.0 * queries @ xt.T)
+        nb = ds.labels[train][stable_nearest(d2, 3)]
+        counts = np.zeros((queries.shape[0], 2))
+        np.add.at(counts, (np.arange(queries.shape[0])[:, None], nb), 1.0)
+        want = np.log((counts + 0.5) / (3 + 0.5 * 2))
+        assert np.array_equal(model.class_log_probs(queries), want)
+
 
 class TestLogistic:
     def separable(self):
@@ -303,7 +371,7 @@ class TestLogistic:
 
     def test_non_finite_loss_reports_iteration(self):
         ds = Dataset(np.array([[1e200], [-1e200]]), [0, 1], 2)
-        with pytest.raises(NonFiniteLoss) as err:
+        with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteLoss) as err:
             logistic_learner(l2=0.0, epochs=10, lr=1e10).fit(ds, np.arange(2), 0)
         assert err.value.iteration >= 0
 
@@ -371,6 +439,25 @@ class TestMlp:
         for pa, pb in zip(a.params, b.params):
             assert np.array_equal(pa, pb)
 
+    def test_fit_is_the_kernel_on_seeded_init_and_shuffles(self):
+        # the seed contract: init from mlp_init(d, h, m, seed), and epoch
+        # e trains in the order of the e-th default_rng(seed + 1).permutation
+        ds = gen_synthetic(SyntheticConfig(d=3, m_classes=3, seed=1), 60)
+        rows = np.random.default_rng(0).integers(0, 60, 45)
+        seed, epochs = 7, 5
+        model = mlp_learner(hidden=4, epochs=epochs, lr_max=0.2, batch=16).fit(
+            ds, rows, seed)
+        params = [p[None].copy() for p in mlp_init(3, 4, 3, seed)]
+        rng = np.random.default_rng(seed + 1)
+        orders = (rng.permutation(rows.size)[None] for _ in range(epochs))
+        loss, bad = kernels.mlp_sgd_stack(
+            ds.inputs[rows][None], ds.labels[rows][None], *params, orders,
+            epochs, 0.2, 0.9, 16)
+        assert bad[0] == -1
+        assert model.final_loss == loss[0]
+        for fitted, fed in zip(model.params, params):
+            assert np.array_equal(fitted, fed[0])
+
     def test_different_seed_differs(self):
         ds = gen_synthetic(SyntheticConfig(d=3, seed=1), 60)
         learner = mlp_learner(hidden=4, epochs=10, lr_max=0.2, batch=16)
@@ -387,7 +474,7 @@ class TestMlp:
 
     def test_non_finite_loss_reports_epoch(self):
         ds = Dataset(np.array([[1e200, 0.0], [-1e200, 0.0]]), [0, 1], 2)
-        with pytest.raises(NonFiniteLoss) as err:
+        with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteLoss) as err:
             mlp_learner(hidden=2, epochs=5, lr_max=1e20, batch=64).fit(
                 ds, np.arange(2), 0)
         assert err.value.iteration >= 0
