@@ -3,9 +3,11 @@
 ``logistic_gd_stack`` trains a stack of logistic fits at once, and
 ``mlp_sgd_stack`` a stack of MLP fits with one training-set size; one fit
 is a stack of one job.  ``sgld_chain_diag_quad`` runs fused Langevin chains
-for diagonal quadratic energies.  Callers reach them through this module's
-attributes (``kernels.logistic_gd_stack(...)``), so a wrapper bound here
-sees every call.
+for diagonal quadratic energies: a small state steps each coordinate's
+recursion in Python floats, a large one all coordinates at once in numpy,
+and both loops give the same bits.  Callers reach them through this
+module's attributes (``kernels.logistic_gd_stack(...)``), so a wrapper
+bound here sees every call.
 
 Reduction order is part of the contract: every result is bit for bit what
 numpy's own reductions give.  numpy reduces a short axis a few elements per
@@ -20,6 +22,8 @@ step is a handful of calls on whole buffers.
 import math
 
 import numpy as np
+
+from .errors import InvalidArgument
 
 # perfbench/run.py's machine_facts reads this flag and exits 1 without it.
 NUMBA_ENABLED = False
@@ -236,14 +240,80 @@ def mlp_sgd_stack(X, y, W1, b1, W2, b2, orders, epochs, lr_max, momentum,
 # The input state is not written to; the final state is returned.  w may
 # stack several chains, (chains, dim), with noise (steps, chains, dim): the
 # update is elementwise, so each chain's trajectory is that of its own call.
+#
+# A step is w <- w - half*(n*(lam*w) + eps*w) + sqrt_step*noise[t], so every
+# coordinate follows its own scalar recursion.  A state of at most
+# _SCALAR_COORDS coordinates runs that recursion in Python floats, one
+# coordinate at a time; a larger state steps all coordinates at once in
+# numpy, a handful of ufunc calls a step.  The scalar loop takes the kicks
+# sqrt_step*noise[t] one numpy multiply per block of steps and holds no more
+# than a block of one coordinate as Python floats, so its memory does not
+# grow with the window.  CPython floats and numpy ufuncs both do correctly
+# rounded double operations, here the same ones in the same order and with
+# no fused multiply-add, so the two loops give the same bits.  The scalar
+# loop costs ~0.15 us per coordinate and step, a numpy step ~5.5 us whatever
+# the size of a small state; the crossover is measured in CHANGES.md.
+# States that overflow become inf or NaN silently in both.
+_SCALAR_COORDS = 40
+
+# steps whose kicks the scalar loop computes in one call
+_KICK_BLOCK = 1024
+
 
 def sgld_chain_diag_quad(w, lam, prior_eps, n_nominal, half_step, sqrt_step,
                          noise, out):
     steps = noise.shape[0]
+    if noise.shape[1:] != w.shape or out.shape[1:] != w.shape:
+        raise InvalidArgument(
+            f"state {w.shape}, noise {noise.shape} and out {out.shape} "
+            "must share the state's shape after their leading axis")
+    if out.shape[0] > steps:
+        raise InvalidArgument(
+            f"out records {out.shape[0]} states but noise has {steps} steps")
+    try:
+        lam = np.broadcast_to(lam, w.shape)
+    except ValueError:
+        raise InvalidArgument(
+            f"eigenvalues {np.shape(lam)} do not fit state {w.shape}") from None
     keep_from = steps - out.shape[0]
-    for t in range(steps):
-        g = n_nominal * (lam * w) + prior_eps * w
-        w = w - half_step * g + sqrt_step * noise[t]
-        if t >= keep_from:
-            out[t - keep_from] = w
+    if w.size <= _SCALAR_COORDS:
+        return _chain_scalar(w, lam, float(prior_eps), float(n_nominal),
+                             float(half_step), sqrt_step, noise, out, keep_from)
+    return _chain_numpy(w, lam, prior_eps, n_nominal, half_step, sqrt_step,
+                        noise, out, keep_from)
+
+
+def _step_blocks(steps, keep_from):
+    """(lo, hi) step ranges of at most _KICK_BLOCK steps, one edge at keep_from."""
+    edges = [0, *range(keep_from % _KICK_BLOCK, steps, _KICK_BLOCK), steps]
+    return [(lo, hi) for lo, hi in zip(edges, edges[1:]) if lo < hi]
+
+
+def _chain_scalar(w, lam, eps, n, half, sqrt_step, noise, out, keep_from):
+    final = np.empty(w.shape)
+    blocks = _step_blocks(noise.shape[0], keep_from)
+    for at in np.ndindex(w.shape):
+        x, l = float(w[at]), float(lam[at])
+        for lo, hi in blocks:
+            kicks = (sqrt_step * noise[(slice(lo, hi),) + at]).tolist()
+            if hi <= keep_from:
+                for k in kicks:
+                    x = x - half * (n * (l * x) + eps * x) + k
+                continue
+            kept = []
+            for k in kicks:
+                x = x - half * (n * (l * x) + eps * x) + k
+                kept.append(x)
+            out[(slice(lo - keep_from, hi - keep_from),) + at] = kept
+        final[at] = x
+    return final
+
+
+def _chain_numpy(w, lam, eps, n, half, sqrt_step, noise, out, keep_from):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(noise.shape[0]):
+            g = n * (lam * w) + eps * w
+            w = w - half * g + sqrt_step * noise[t]
+            if t >= keep_from:
+                out[t - keep_from] = w
     return w

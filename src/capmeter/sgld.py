@@ -11,7 +11,9 @@ together.  Chains whose pools hold equally many rows form one
 ``(chains, dim)`` state that takes one gradient call per minibatch, each
 chain with its own minibatch order and its own noise stream, so every
 trajectory is bitwise the one ``sgld_step`` would take.  Quadratic chains
-whose pool fits one batch run in the fused kernel instead.  The held-out
+whose pool fits one batch run in the fused kernel instead, which steps a
+state of up to ``kernels._SCALAR_COORDS`` coordinates in Python floats and
+a larger one in numpy, with the same bits either way.  The held-out
 readout scores every sample of every chain at a schedule point in one
 ``heldout_means`` call.
 """
@@ -478,7 +480,11 @@ def _window_quadratic(energy, w, sample_size, config, noise_rngs):
     ``noise_rngs`` holds the chains' noise streams in the same order.  The
     kernel repeats exactly the arithmetic of sgld_step, elementwise, with
     each chain's noise drawn up front from its own stream, so every
-    trajectory is bitwise the one sgld_step would take.  Returns the final
+    trajectory is bitwise the one sgld_step would take.  A state of at most
+    ``kernels._SCALAR_COORDS`` coordinates (chains x dim) runs each
+    coordinate's recursion in Python floats, a larger one in numpy; both do
+    the same correctly rounded double operations in the same order, so the
+    choice does not change a bit.  Returns the final
     states and the samples, shapes (chains, dim) and (samples, chains,
     dim), and the boolean mask of chains whose states all stayed finite.
     """

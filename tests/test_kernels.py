@@ -6,9 +6,11 @@ sum in a different order, so the comparison holds to rounding.
 """
 
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +18,7 @@ import pytest
 
 import capmeter
 from capmeter import kernels
+from capmeter.errors import InvalidArgument
 
 # ---------------------------------------------------------------------------
 # scalar reference implementations
@@ -298,6 +301,92 @@ class TestSgldChain:
                                               np.ascontiguousarray(noise[:, c]), one)
             assert np.array_equal(out[:, c], one)
             assert np.array_equal(w[c], wc)
+
+
+class TestSgldChainLoops:
+    """The scalar loop (small states) and the numpy loop (large ones) of
+    sgld_chain_diag_quad, each forced through ``_SCALAR_COORDS``, give the
+    same bits."""
+
+    LOOPS = {"scalar": 10**6, "numpy": -1}
+
+    def run(self, monkeypatch, loop, w, lam, eps, n, step, noise, kept):
+        monkeypatch.setattr(kernels, "_SCALAR_COORDS", self.LOOPS[loop])
+        out = np.empty((kept,) + w.shape)
+        final = kernels.sgld_chain_diag_quad(w, lam, eps, n, 0.5 * step,
+                                             math.sqrt(step), noise, out)
+        return final, out
+
+    def both(self, monkeypatch, *args):
+        return [self.run(monkeypatch, loop, *args) for loop in self.LOOPS]
+
+    @pytest.mark.parametrize("shape", [(3,), (4, 3)])
+    @pytest.mark.parametrize("eps", [0.0, 0.7])
+    @pytest.mark.parametrize("kept", [150, 1])
+    def test_loops_agree_bitwise(self, monkeypatch, shape, eps, kept):
+        rng = np.random.default_rng(len(shape) + kept)
+        w0 = rng.normal(size=shape)
+        lam = np.array([0.0, 0.3, 1.7])
+        noise = rng.standard_normal((150,) + shape)
+        args = (w0, lam, eps, 9.0, 0.01, noise, kept)
+        (f1, o1), (f2, o2) = self.both(monkeypatch, *args)
+        assert same_bits(o1, o2)
+        assert same_bits(f1, f2)
+        assert same_bits(f1, o1[-1])
+        # kicks taken 7 steps at a time, with blocks ending at the first
+        # kept step, change no bit either
+        monkeypatch.setattr(kernels, "_KICK_BLOCK", 7)
+        for f, o in self.both(monkeypatch, *args):
+            assert same_bits(o, o1)
+            assert same_bits(f, f1)
+
+    def test_overflowing_chains_agree(self, monkeypatch):
+        # the lambda=1 coordinate is multiplied by -1.2 a step, so chains
+        # started near 1e270 and above overflow to inf within 600 steps and
+        # then turn NaN; the others stay finite
+        rng = np.random.default_rng(3)
+        scale = 10.0 ** np.array([0, 100, 200, 265, 275, 290, 300])
+        w0 = rng.normal(size=(7, 2)) * scale[:, None]
+        noise = rng.standard_normal((600, 7, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (f1, o1), (f2, o2) = self.both(monkeypatch, w0, [1.0, 0.5], 1.0,
+                                           10.0, 0.4, noise, 600)
+        for a, b in ((o1, o2), (f1, f2)):
+            nan = np.isnan(a)
+            assert np.array_equal(nan, np.isnan(b))
+            assert same_bits(a[~nan], b[~nan])
+        assert np.isinf(o1).any() and np.isnan(f1).any()
+        assert np.isfinite(f1[:3]).all()
+
+    @pytest.mark.parametrize("loop", ["scalar", "numpy"])
+    def test_input_state_is_never_written(self, monkeypatch, loop):
+        rng = np.random.default_rng(4)
+        w0 = rng.normal(size=(3, 2))
+        before = w0.copy()
+        noise = rng.standard_normal((20, 3, 2))
+        final, out = self.run(monkeypatch, loop, w0, [1.0, 2.0], 1.0, 4.0,
+                              0.02, noise, 5)
+        assert same_bits(w0, before)
+        assert same_bits(final, out[-1])
+        assert not np.shares_memory(final, out)
+        assert not np.shares_memory(final, w0)
+
+    @pytest.mark.parametrize("w_shape, lam, noise_shape, out_shape", [
+        ((2,), [1.0, 1.0], (5, 2), (6, 2)),        # more kept rows than steps
+        ((2,), [1.0, 1.0], (5, 3), (5, 2)),        # noise of another state
+        ((2,), [1.0, 1.0], (5, 2), (5, 3)),        # out of another state
+        ((4, 2), [1.0, 1.0], (5, 2), (5, 4, 2)),   # noise of one chain
+        ((4, 2), [1.0, 1.0], (5, 4, 2), (5, 2)),   # out of one chain
+        ((2,), [1.0, 1.0, 1.0], (5, 2), (5, 2)),   # eigenvalues of another dim
+    ])
+    def test_mismatched_shapes_are_rejected(self, w_shape, lam, noise_shape,
+                                            out_shape):
+        with pytest.raises(InvalidArgument):
+            kernels.sgld_chain_diag_quad(np.zeros(w_shape), np.asarray(lam),
+                                         1.0, 4.0, 0.01, 0.1,
+                                         np.zeros(noise_shape),
+                                         np.empty(out_shape))
 
 
 class TestLogisticKernel:

@@ -6,6 +6,7 @@ targets come from the quadratic partition-function module.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from capmeter.errors import (
     ScheduleExhaustsData,
 )
 import capmeter.sgld
+from capmeter import kernels
 from capmeter.learners import REGRESSION, Dataset, SyntheticConfig, gen_synthetic
 from capmeter.oracle import HessianSpectrum, PriorKind, quad_log_z
 from capmeter.protocol import EnergyRecord, derive_rng
@@ -502,6 +504,41 @@ class TestIncrementalProtocol:
         assert ([c.value for c in fused.capacities]
                 == [c.value for c in generic.capacities])
 
+    def test_fused_quadratic_keeps_its_recorded_bits(self):
+        # float literals from the fused kernel's per-step numpy loop, as it
+        # was before the scalar loop, so a rewrite of the kernel is held to
+        # those bits and not only to the generic path; eigenvalue 0.3 and
+        # sample sizes 5 and 10 make a reordered product change them
+        cfg = SgldConfig(step_size=0.003, n_schedule=(5, 10, 20), chains=5,
+                         equilibration_epochs=50, samples_per_window=60,
+                         seed=11)
+        result = run_incremental_protocol(QuadraticEnergy([1.0, 0.3]),
+                                          RowCount(21), cfg)
+        assert list(result.curve.u_mean) == [
+            0.053433629959018694, 0.10205927122296224, 0.07234074481032678]
+        assert list(result.curve.u_stderr) == [
+            0.01510432287479239, 0.037992384725502794, 0.01756277711107381]
+        assert [c.value for c in result.capacities] == [
+            -0.24312820631971777, 0.29718526412635465]
+        assert [c.stderr for c in result.capacities] == [
+            0.027502311299022048, 0.056872835512798356]
+
+    def test_fused_and_generic_agree_above_the_scalar_size(self):
+        # 8 chains x 6 dims is a state larger than the kernel's scalar loop
+        # takes, so the fused run goes through its numpy loop
+        lam = [1.1, 0.3, 2.3, 0.0, 1.7, 0.45]
+        assert 8 * len(lam) > kernels._SCALAR_COORDS
+        cfg = self.config(n_schedule=(9, 15), chains=8,
+                          equilibration_epochs=100, samples_per_window=100)
+        fused = run_incremental_protocol(QuadraticEnergy(lam), RowCount(17), cfg)
+        generic = run_incremental_protocol(WrappedQuadratic(lam), RowCount(17),
+                                           cfg)
+        np.testing.assert_array_equal(fused.curve.u_mean, generic.curve.u_mean)
+        np.testing.assert_array_equal(fused.curve.u_stderr, generic.curve.u_stderr)
+        assert fused.records == generic.records
+        assert ([(c.value, c.stderr) for c in fused.capacities]
+                == [(c.value, c.stderr) for c in generic.capacities])
+
     def diverging_config(self, equilibration_epochs):
         # at N=10 the update multiplies the lambda=1 coordinate by -1.2 a
         # step, so after ~3860 steps the states reach the overflow edge and
@@ -522,6 +559,23 @@ class TestIncrementalProtocol:
         assert fused.failures == generic.failures == expected
         assert list(fused.curve.record_count) == [5, 4]
         assert fused.records == generic.records
+
+    @pytest.mark.parametrize("scalar_coords", [10**6, -1],
+                             ids=["scalar", "numpy"])
+    def test_diverging_fused_run_is_silent_on_both_loops(self, monkeypatch,
+                                                         scalar_coords):
+        # the kernel's scalar loop (Python floats) and its numpy loop both
+        # overflow without a warning and report the same dropped chain
+        monkeypatch.setattr(kernels, "_SCALAR_COORDS", scalar_coords)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fused = run_incremental_protocol(QuadraticEnergy([1.0, 0.5]),
+                                             RowCount(11),
+                                             self.diverging_config(3860))
+        assert fused.failures == (ChainFailure(
+            chain=2, sample_size=10,
+            detail="langevin update produced a non-finite state"),)
+        assert list(fused.curve.record_count) == [5, 4]
 
     def test_diverging_majority_aborts_as_before(self):
         message = ("only 2 of 5 chains survived to sample size 10: "
