@@ -66,6 +66,7 @@ from .protocol import (
     RECORD_HEADER,
     EnergyCurve,
     ProtocolConfig,
+    default_n_grid,
     estimate_avg_energy,
     ingest_records,
     run_protocol,
@@ -113,8 +114,7 @@ def parse_grid(text: str):
         lo, hi, count = (int(g) for g in match.groups())
         if not (1 <= lo < hi) or count < 2:
             raise ConfigError(f"bad grid bounds in {text!r}")
-        grid = np.unique(np.rint(np.geomspace(lo, hi, count)).astype(np.int64))
-        return tuple(int(n) for n in grid)
+        return default_n_grid(lo, hi, count)
     try:
         grid = tuple(int(part) for part in text.split(","))
     except ValueError:
@@ -145,19 +145,6 @@ def _parse_ints(text: str):
         return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"expected a comma list of integers, got {text!r}")
-
-
-def _resolve_jobs(args) -> int:
-    if args.jobs is not None:
-        jobs = args.jobs
-    else:
-        try:
-            jobs = int(os.environ.get("CAPMETER_JOBS", "1"))
-        except ValueError:
-            raise ConfigError("CAPMETER_JOBS must be an integer")
-    if jobs < 1:
-        raise ConfigError(f"jobs must be >= 1, got {jobs}")
-    return jobs
 
 
 _SYNTHETIC_KEYS = {"d": int, "kappa": float, "m": int, "hidden": int,
@@ -205,12 +192,15 @@ def _dataset_for(args, rows: int):
 
 def _learner_for(args):
     name = args.learner
+    epochs, lr = args.epochs, args.lr
     if name == "logistic":
-        return logistic_learner(l2=args.l2, epochs=args.epochs or 2000,
-                                lr=args.lr or 1.0)
+        return logistic_learner(l2=args.l2,
+                                epochs=2000 if epochs is None else epochs,
+                                lr=1.0 if lr is None else lr)
     if name == "mlp":
-        return mlp_learner(hidden=args.hidden, epochs=args.epochs or 150,
-                           lr_max=args.lr or 0.1, batch=args.batch)
+        return mlp_learner(hidden=args.hidden,
+                           epochs=150 if epochs is None else epochs,
+                           lr_max=0.1 if lr is None else lr, batch=args.batch)
     if name == "knn":
         return knn_learner(k=args.k, alpha=args.alpha, sigma=args.sigma)
     raise ConfigError(f"unknown learner {name!r}")
@@ -301,11 +291,11 @@ def cmd_run(args) -> int:
     config = ProtocolConfig(n_grid=grid, master_seed=args.seed,
                             n_boots=args.boots, k_folds=args.folds,
                             m_seeds=args.seeds)
-    jobs = _resolve_jobs(args)
+    if args.jobs is not None and args.jobs < 1:
+        raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
     dataset, label, inputs = _dataset_for(args, max(config.n_grid))
     learner = _learner_for(args)
-    result = run_protocol(dataset, learner, config, dataset_id=label,
-                          workers=jobs)
+    result = run_protocol(dataset, learner, config, dataset_id=label)
     curve = estimate_avg_energy(result.records)
     manifest = report.build_manifest(args._argv, _config_echo(args), args.seed,
                                      inputs)
@@ -662,7 +652,7 @@ def build_parser() -> ArgumentParser:
     run.add_argument("--jobs", type=int, default=None,
                      help="accepted and checked (>= 1) but changes nothing: "
                           "each sample size's fits run as one batch in one "
-                          "thread (default: CAPMETER_JOBS or 1)")
+                          "thread")
     run.add_argument("--l2", type=float, default=0.0)
     run.add_argument("--epochs", type=int, default=None)
     run.add_argument("--lr", type=float, default=None)

@@ -156,9 +156,5 @@ class EmptyHeldout(CapmeterError):
     """No rows left to evaluate on."""
 
 
-class EmptyWindow(CapmeterError):
-    """A sampling window produced no usable samples."""
-
-
 class ScheduleExhaustsData(CapmeterError):
     """Requested schedule needs more rows than the dataset holds."""

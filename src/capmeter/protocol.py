@@ -278,7 +278,7 @@ class RunResult:
 
 
 def run_protocol(dataset, learner, config: ProtocolConfig,
-                 dataset_id: str = "data", workers: int = 1) -> RunResult:
+                 dataset_id: str = "data") -> RunResult:
     """Plan, train, and collect records for the whole grid.
 
     The jobs of each sample size are trained and scored together by the
@@ -286,8 +286,7 @@ def run_protocol(dataset, learner, config: ProtocolConfig,
     stack per training-set size for the MLP, one job at a time for the
     k-NN, and each distinct job once for a learner that ignores the seed
     (see the module docstring).  Records come out in plan order, one per
-    job.  ``workers`` is accepted for compatibility and changes nothing:
-    everything runs in the calling thread.
+    job, all computed in the calling thread.
     """
     jobs = plan_experiment(config, dataset.n_rows)
     results = []

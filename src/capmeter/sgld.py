@@ -6,11 +6,15 @@ probability-complement form, ``mean(1 - p)``, which stays inside [0, 1]
 regardless of how confident the sampled weights are; capacity follows from
 differencing the readout at two schedule points.
 
-``run_incremental_protocol`` advances the live chains of a schedule point
-together.  Chains whose pools hold equally many rows form one
-``(chains, dim)`` state that takes one gradient call per minibatch, each
-chain with its own minibatch order and its own noise stream, so every
-trajectory is bitwise the one ``sgld_step`` would take.  Quadratic chains
+``run_incremental_protocol`` deals rows to ``k`` chains round-robin by row
+index: at schedule point N chain c's training pool is ``np.arange(c, N,
+k)``, so each schedule step hands every chain an equal share (within one
+row) of the newly admitted rows, and the rows from N_max on are held out.
+It advances the live chains of a schedule point together.  Chains whose
+pools hold equally many rows form one ``(chains, dim)`` state that takes
+one gradient call per minibatch, each chain with its own minibatch order
+and its own noise stream, so every trajectory is bitwise the one
+``sgld_step`` would take.  Quadratic chains
 whose pool fits one batch run in the fused kernel instead, which steps a
 state of up to ``kernels._SCALAR_COORDS`` coordinates in Python floats and
 a larger one in numpy, with the same bits either way.  The held-out
@@ -29,7 +33,6 @@ from . import kernels
 from .errors import (
     ConfigError,
     EmptyHeldout,
-    EmptyWindow,
     InvalidArgument,
     NonFiniteState,
     ScheduleExhaustsData,
@@ -56,9 +59,6 @@ __all__ = [
     "ChainFailure",
     "SgldResult",
     "sgld_step",
-    "sgld_avg_energy",
-    "sgld_capacity",
-    "schedule_row_blocks",
     "run_incremental_protocol",
 ]
 
@@ -154,12 +154,6 @@ class DifferentiableEnergy:
         return out
 
 
-def _label_entries(lp: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Each row's entry at its label from log probabilities (..., rows, m)."""
-    index = np.broadcast_to(labels, lp.shape[:-1])[..., None]
-    return np.take_along_axis(lp, index, axis=-1)[..., 0]
-
-
 class QuadraticEnergy(DifferentiableEnergy):
     """Loss ``0.5 * w' diag(eigenvalues) w``, identical for every row.
 
@@ -197,7 +191,42 @@ class QuadraticEnergy(DifferentiableEnergy):
         return 1.0 - np.exp(-values)
 
 
-class LogisticEnergy(DifferentiableEnergy):
+class _ClassifierEnergy(DifferentiableEnergy):
+    """Mean negative log-likelihood of a classifier on a bound dataset.
+
+    Subclasses supply ``gradient`` and ``_log_probs(weights, rows)``, the
+    class log probabilities of the given rows, shape (..., rows, m).
+    """
+
+    def __init__(self, dataset: Dataset):
+        if not dataset.is_classification:
+            raise InvalidArgument(
+                f"{type(self).__name__} needs a classification dataset")
+        self.dataset = dataset
+
+    def _states(self, weights) -> np.ndarray:
+        """The weights as float64 states, checked for ``dim`` per state."""
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape[-1:] != (self.dim,):
+            raise InvalidArgument(
+                f"expected {self.dim} weights per state, got shape {w.shape}")
+        return w
+
+    def _label_log_probs(self, weights, rows) -> np.ndarray:
+        """Each row's log probability of its own label, shape (..., rows)."""
+        rows = np.asarray(rows, dtype=np.int64)
+        lp = self._log_probs(weights, rows)
+        index = np.broadcast_to(self.dataset.labels[rows], lp.shape[:-1])[..., None]
+        return np.take_along_axis(lp, index, axis=-1)[..., 0]
+
+    def value(self, weights, rows) -> float:
+        return -float(self._label_log_probs(weights, rows).mean())
+
+    def prob_on_rows(self, weights, rows) -> np.ndarray:
+        return np.exp(self._label_log_probs(weights, rows))
+
+
+class LogisticEnergy(_ClassifierEnergy):
     """Mean multinomial-logistic loss over rows of a bound dataset.
 
     Weights are the flattened (m-1, d+1) reference-class matrix: class 0
@@ -205,9 +234,7 @@ class LogisticEnergy(DifferentiableEnergy):
     """
 
     def __init__(self, dataset: Dataset):
-        if not dataset.is_classification:
-            raise InvalidArgument("logistic energy needs a classification dataset")
-        self.dataset = dataset
+        super().__init__(dataset)
         self._shape = (dataset.m_classes - 1, dataset.feature_dim + 1)
         self._xb = with_bias(dataset.inputs)
 
@@ -216,19 +243,11 @@ class LogisticEnergy(DifferentiableEnergy):
         return self._shape[0] * self._shape[1]
 
     def _matrix(self, weights) -> np.ndarray:
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape[-1:] != (self.dim,):
-            raise InvalidArgument(
-                f"expected {self.dim} weights per state, got shape {w.shape}")
+        w = self._states(weights)
         return w.reshape(w.shape[:-1] + self._shape)
 
     def _log_probs(self, weights, rows):
         return logistic_log_probs_xb(self._matrix(weights), self._xb[rows])
-
-    def value(self, weights, rows) -> float:
-        rows = np.asarray(rows, dtype=np.int64)
-        lp = self._log_probs(weights, rows)
-        return -float(_label_entries(lp, self.dataset.labels[rows]).mean())
 
     def gradient(self, weights, rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
@@ -236,13 +255,8 @@ class LogisticEnergy(DifferentiableEnergy):
         g = logistic_grad_xb(w, self._xb[rows], self.dataset.labels[rows])
         return g.reshape(w.shape[:-2] + (self.dim,))
 
-    def prob_on_rows(self, weights, rows) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        lp = self._log_probs(weights, rows)
-        return np.exp(_label_entries(lp, self.dataset.labels[rows]))
 
-
-class MlpEnergy(DifferentiableEnergy):
+class MlpEnergy(_ClassifierEnergy):
     """Mean loss of a one-hidden-layer ReLU classifier on a bound dataset.
 
     Weights concatenate (w1, b1, w2, b2) in row-major order, matching the
@@ -250,11 +264,9 @@ class MlpEnergy(DifferentiableEnergy):
     """
 
     def __init__(self, dataset: Dataset, hidden: int):
-        if not dataset.is_classification:
-            raise InvalidArgument("mlp energy needs a classification dataset")
+        super().__init__(dataset)
         if hidden < 1:
             raise InvalidArgument(f"hidden must be >= 1, got {hidden}")
-        self.dataset = dataset
         self.hidden = int(hidden)
         d, m = dataset.feature_dim, dataset.m_classes
         self._shapes = ((d, hidden), (hidden,), (hidden, m), (m,))
@@ -265,10 +277,7 @@ class MlpEnergy(DifferentiableEnergy):
         return sum(self._sizes)
 
     def _unflatten(self, weights):
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape[-1:] != (self.dim,):
-            raise InvalidArgument(
-                f"expected {self.dim} weights per state, got shape {w.shape}")
+        w = self._states(weights)
         lead = w.shape[:-1]
         parts = []
         start = 0
@@ -277,10 +286,8 @@ class MlpEnergy(DifferentiableEnergy):
             start += size
         return tuple(parts)
 
-    def value(self, weights, rows) -> float:
-        rows = np.asarray(rows, dtype=np.int64)
-        lp = mlp_log_probs(self._unflatten(weights), self.dataset.inputs[rows])
-        return -float(_label_entries(lp, self.dataset.labels[rows]).mean())
+    def _log_probs(self, weights, rows):
+        return mlp_log_probs(self._unflatten(weights), self.dataset.inputs[rows])
 
     def gradient(self, weights, rows) -> np.ndarray:
         rows = np.asarray(rows, dtype=np.int64)
@@ -289,11 +296,6 @@ class MlpEnergy(DifferentiableEnergy):
                          self.dataset.labels[rows])
         lead = params[1].shape[:-1]
         return np.concatenate([g.reshape(lead + (-1,)) for g in grads], axis=-1)
-
-    def prob_on_rows(self, weights, rows) -> np.ndarray:
-        rows = np.asarray(rows, dtype=np.int64)
-        lp = mlp_log_probs(self._unflatten(weights), self.dataset.inputs[rows])
-        return np.exp(_label_entries(lp, self.dataset.labels[rows]))
 
 
 def sgld_step(weights, energy: DifferentiableEnergy, rows, sample_size: int,
@@ -322,21 +324,6 @@ def sgld_step(weights, energy: DifferentiableEnergy, rows, sample_size: int,
     return new
 
 
-def sgld_avg_energy(chain_samples, energy: DifferentiableEnergy,
-                    heldout_rows) -> float:
-    """Average probability-complement energy over a window of samples.
-
-    Mean over samples of the held-out mean of ``1 - p``; always in [0, 1].
-    """
-    rows = np.asarray(heldout_rows, dtype=np.int64)
-    if rows.size == 0:
-        raise EmptyHeldout("no held-out rows to evaluate on")
-    samples = np.atleast_2d(np.asarray(chain_samples, dtype=np.float64))
-    if samples.shape[0] == 0:
-        raise EmptyWindow("no samples in window")
-    return float(energy.heldout_means(samples, rows).mean())
-
-
 def _capacity_from_window_energies(e_lo: np.ndarray, e_hi: np.ndarray,
                                    sample_size: int, delta_n: float) -> CapacityEstimate:
     """Capacity from per-sample held-out energies of two windows."""
@@ -348,47 +335,6 @@ def _capacity_from_window_energies(e_lo: np.ndarray, e_hi: np.ndarray,
     stderr = sample_size ** 2 * math.hypot(se_lo, se_hi) / delta_n
     return CapacityEstimate(value=float(value), stderr=float(stderr),
                             at_n=float(sample_size), method="sgld")
-
-
-def sgld_capacity(window_lo, window_hi, energy: DifferentiableEnergy,
-                  heldout_rows, sample_size: int, delta_n: float) -> CapacityEstimate:
-    """Capacity from two sampling windows a schedule step apart.
-
-    ``-sample_size**2`` times the finite difference of the two windows'
-    average energies, with a standard error propagated from the
-    between-sample scatter inside each window.
-    """
-    rows = np.asarray(heldout_rows, dtype=np.int64)
-    if rows.size == 0:
-        raise EmptyHeldout("no held-out rows to evaluate on")
-    lo = np.atleast_2d(np.asarray(window_lo, dtype=np.float64))
-    hi = np.atleast_2d(np.asarray(window_hi, dtype=np.float64))
-    if lo.shape[0] == 0 or hi.shape[0] == 0:
-        raise EmptyWindow("capacity needs a non-empty window on both sides")
-    if sample_size < 1:
-        raise InvalidArgument(f"sample_size must be >= 1, got {sample_size}")
-    if delta_n <= 0:
-        raise InvalidArgument(f"delta_n must be positive, got {delta_n}")
-    return _capacity_from_window_energies(energy.heldout_means(lo, rows),
-                                          energy.heldout_means(hi, rows),
-                                          sample_size, delta_n)
-
-
-def schedule_row_blocks(n_schedule, chains: int):
-    """Deal dataset rows to chains, one block per schedule point.
-
-    Rows ``0 .. n_schedule[-1]`` are dealt round-robin by row index, so
-    each schedule step hands every chain an equal share (within one row)
-    of the newly admitted block.  Returns a list with one entry per
-    schedule point; each entry is a per-chain list of the new row indices.
-    """
-    blocks = []
-    prev = 0
-    for n in n_schedule:
-        fresh = np.arange(prev, n)
-        blocks.append([fresh[fresh % chains == c] for c in range(chains)])
-        prev = n
-    return blocks
 
 
 @dataclass(frozen=True)
@@ -507,12 +453,12 @@ def run_incremental_protocol(energy: DifferentiableEnergy, dataset,
                              dataset_id: str = "sgld") -> SgldResult:
     """Sample each schedule point by growing the chains' training pools.
 
-    The first schedule point's rows are dealt round-robin across chains;
-    every later point deals the newly admitted block the same way, so
-    chains keep equal shares while the temperature follows the nominal
-    sample size.  Rows past ``max(n_schedule)`` form the held-out pool for
-    the energy readout.  A chain whose state leaves the finite domain is
-    dropped; the run continues while at least half the chains survive.
+    At schedule point N chain c trains on rows c, c+k, c+2k, ... below N
+    (k chains), so the chains keep equal shares, within one row, while the
+    temperature follows the nominal sample size.  Rows past
+    ``max(n_schedule)`` form the held-out pool for the energy readout.  A
+    chain whose state leaves the finite domain is dropped; the run
+    continues while at least half the chains survive.
     """
     schedule = config.n_schedule
     k = config.chains
@@ -528,8 +474,6 @@ def run_incremental_protocol(energy: DifferentiableEnergy, dataset,
         raise EmptyHeldout(
             "no rows left beyond the schedule for the held-out readout")
 
-    blocks = schedule_row_blocks(schedule, k)
-    pools = [np.empty(0, dtype=np.int64) for _ in range(k)]
     states = np.zeros((k, energy.dim))
     noise_rngs = [derive_rng(config.seed, c, 0) for c in range(k)]
     shuffle_rngs = [derive_rng(config.seed, c, 1) for c in range(k)]
@@ -543,8 +487,7 @@ def run_incremental_protocol(energy: DifferentiableEnergy, dataset,
     window_energies = []
     m = config.samples_per_window
     for j, n in enumerate(schedule):
-        for c in range(k):
-            pools[c] = np.concatenate([pools[c], blocks[j][c]])
+        pools = [np.arange(c, n, k) for c in range(k)]
         samples = np.empty((k, m, energy.dim))
         ok = alive.copy()
         # quadratic chains whose whole pool fits one batch advance together

@@ -129,23 +129,23 @@ class TestRun:
                  for t in texts]
         assert strip[0] == strip[1]
 
-    def test_jobs_env_is_read(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CAPMETER_JOBS", "zero")
+    def test_jobs_below_one_exits_2(self, tmp_path, capsys):
         code = cli.main(["run", "--learner", "logistic", "--synthetic", "d=2",
-                         "--n-grid", "5,10", "--out", str(tmp_path / "r.csv")])
+                         "--n-grid", "5,10", "--jobs", "0",
+                         "--out", str(tmp_path / "r.csv")])
         assert code == 2
-        assert "CAPMETER_JOBS" in capsys.readouterr().err
+        assert "jobs must be >= 1" in capsys.readouterr().err
 
-    def test_worker_count_does_not_change_results(self, tmp_path, monkeypatch):
-        argv = ["run", "--learner", "logistic", "--synthetic", "d=2,seed=3",
-                "--n-grid", "20,40", "--boots", "1", "--folds", "3",
-                "--seeds", "1", "--epochs", "80", "--seed", "9"]
-        out_serial = tmp_path / "serial.csv"
-        assert cli.main(argv + ["--jobs", "1", "--out", str(out_serial)]) == 0
-        monkeypatch.setenv("CAPMETER_JOBS", "2")
-        out_env = tmp_path / "env.csv"
-        assert cli.main(argv + ["--out", str(out_env)]) == 0
-        assert data_lines(out_serial.read_text()) == data_lines(out_env.read_text())
+    @pytest.mark.parametrize("learner", ["logistic", "mlp"])
+    @pytest.mark.parametrize("flag", ["--epochs", "--lr"])
+    def test_zero_epochs_or_lr_exits_2(self, tmp_path, capsys, learner, flag):
+        # a zero reaches the learner's own check instead of its default
+        out = tmp_path / "r.csv"
+        code = cli.main(["run", "--learner", learner, "--synthetic", "d=2",
+                         "--n-grid", "5,10", flag, "0", "--out", str(out)])
+        assert code == 2
+        assert "error: InvalidArgument" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_tabular_data_digest_in_manifest(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -333,13 +333,6 @@ class TestRunProtocol:
         assert a.records == b.records
         assert a.clamp_events == b.clamp_events
 
-    def test_worker_count_does_not_change_result(self):
-        ds = FakeDataset(np.arange(24) % 3)
-        cfg = ProtocolConfig(n_grid=(12,), n_boots=2, k_folds=3, m_seeds=2)
-        serial = run_protocol(ds, MeanLearner(), cfg, workers=1)
-        threaded = run_protocol(ds, MeanLearner(), cfg, workers=4)
-        assert serial.records == threaded.records
-
     def test_score_many_scores_each_sample_size_in_one_call(self):
         ds = FakeDataset(np.arange(30) % 3)
         cfg = ProtocolConfig(n_grid=(10, 13, 20), n_boots=2, k_folds=3,

@@ -7,6 +7,7 @@ targets come from the quadratic partition-function module.
 
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ import pytest
 from capmeter.errors import (
     ConfigError,
     EmptyHeldout,
-    EmptyWindow,
     InvalidArgument,
     NonFiniteState,
     ScheduleExhaustsData,
@@ -33,9 +33,6 @@ from capmeter.sgld import (
     RowCount,
     SgldConfig,
     run_incremental_protocol,
-    schedule_row_blocks,
-    sgld_avg_energy,
-    sgld_capacity,
     sgld_step,
 )
 
@@ -193,6 +190,11 @@ class TestMlpEnergy:
             fd[i] = (energy.value(up, rows) - energy.value(dn, rows)) / (2 * eps)
         assert np.linalg.norm(fd - g) <= 1e-4 * np.linalg.norm(g)
 
+    def test_rejects_regression_dataset(self):
+        ds = Dataset(np.ones((4, 1)), np.array([0.1, 0.2, 0.3, 0.4]), REGRESSION)
+        with pytest.raises(InvalidArgument, match="MlpEnergy needs a classification"):
+            MlpEnergy(ds, hidden=2)
+
     def test_prob_on_rows_in_unit_interval(self):
         cfg = SyntheticConfig(d=3, kappa=0.0, seed=1)
         ds = gen_synthetic(cfg, 10)
@@ -260,66 +262,54 @@ class TestSgldStep:
 
 
 class TestAvgEnergy:
+    """The held-out readout, per sample and over a window."""
+
     def test_perfect_predictor_scores_zero(self):
         window = np.array([[1.0], [1.0]])
-        assert sgld_avg_energy(window, FixedProbEnergy(), np.arange(3)) == 0.0
+        e = FixedProbEnergy().heldout_means(window, np.arange(3))
+        assert e.tolist() == [0.0, 0.0]
 
     def test_uniform_two_class_scores_half(self):
         window = np.array([[0.5]])
-        assert sgld_avg_energy(window, FixedProbEnergy(), np.arange(4)) == 0.5
+        assert FixedProbEnergy().heldout_means(window, np.arange(4)).tolist() == [0.5]
 
     def test_averages_over_samples(self):
         window = np.array([[1.0], [0.5]])
-        assert sgld_avg_energy(window, FixedProbEnergy(), np.arange(2)) == 0.25
+        e = FixedProbEnergy().heldout_means(window, np.arange(2))
+        assert e.tolist() == [0.0, 0.5]
+        assert e.mean() == 0.25
 
     def test_stays_in_unit_interval(self):
         energy = QuadraticEnergy([1.0, 1.0])
         samples = 3.0 * np.random.default_rng(2).standard_normal((100, 2))
-        u = sgld_avg_energy(samples, energy, np.arange(5))
-        assert 0.0 <= u <= 1.0
-
-    def test_empty_heldout_rejected(self):
-        with pytest.raises(EmptyHeldout):
-            sgld_avg_energy(np.ones((1, 1)), FixedProbEnergy(), np.empty(0, dtype=int))
-
-    def test_empty_window_rejected(self):
-        with pytest.raises(EmptyWindow):
-            sgld_avg_energy(np.empty((0, 1)), FixedProbEnergy(), np.arange(2))
+        e = energy.heldout_means(samples, np.arange(5))
+        assert np.all(e >= 0.0) and np.all(e <= 1.0)
 
 
 class TestSgldCapacity:
+    """Capacity from the per-sample held-out energies of two windows."""
+
     def test_identical_windows_give_zero(self):
-        window = np.array([[0.7], [0.7], [0.7]])
-        est = sgld_capacity(window, window, FixedProbEnergy(), np.arange(2), 10, 1.0)
+        window = np.full(3, 0.3)
+        est = capmeter.sgld._capacity_from_window_energies(window, window, 10, 1.0)
         assert est.value == 0.0
         assert est.method == "sgld"
 
     def test_one_over_n_curve_value(self):
         # Average energies 1/10 and 1/11 at N = 10, delta 1:
         # C = -100 * (1/11 - 1/10) = 100/110.
-        lo = np.array([[0.9]])
-        hi = np.array([[1.0 - 1.0 / 11.0]])
-        est = sgld_capacity(lo, hi, FixedProbEnergy(), np.arange(2), 10, 1.0)
+        est = capmeter.sgld._capacity_from_window_energies(
+            np.array([0.1]), np.array([1.0 / 11.0]), 10, 1.0)
         assert est.value == pytest.approx(100.0 / 110.0, rel=1e-12)
         assert est.stderr == 0.0
         assert est.at_n == 10.0
 
     def test_stderr_from_between_sample_scatter(self):
-        lo = np.array([[0.9], [0.7]])   # energies 0.1, 0.3
-        hi = np.array([[0.8], [0.8]])   # energies 0.2, 0.2
-        est = sgld_capacity(lo, hi, FixedProbEnergy(), np.arange(2), 2, 1.0)
+        est = capmeter.sgld._capacity_from_window_energies(
+            np.array([0.1, 0.3]), np.array([0.2, 0.2]), 2, 1.0)
         assert est.value == pytest.approx(0.0, abs=1e-15)
         se_lo = np.std([0.1, 0.3], ddof=1) / math.sqrt(2)
         assert est.stderr == pytest.approx(4 * se_lo, rel=1e-12)
-
-    def test_rejects_bad_arguments(self):
-        window = np.ones((1, 1))
-        with pytest.raises(EmptyWindow):
-            sgld_capacity(np.empty((0, 1)), window, FixedProbEnergy(), np.arange(2), 10, 1.0)
-        with pytest.raises(EmptyHeldout):
-            sgld_capacity(window, window, FixedProbEnergy(), np.empty(0, dtype=int), 10, 1.0)
-        with pytest.raises(InvalidArgument):
-            sgld_capacity(window, window, FixedProbEnergy(), np.arange(2), 10, 0.0)
 
 
 class TestGibbsPosteriorFidelity:
@@ -378,25 +368,8 @@ class TestQuadraticMatchedLogistic:
                           prior_eps=eps)
             if i >= burn and (i - burn) % thin == 0:
                 samples[(i - burn) // thin] = w
-        u_sgld = sgld_avg_energy(samples, energy, heldout)
+        u_sgld = float(energy.heldout_means(samples, heldout).mean())
         assert abs(u_sgld - target) <= 0.05 * target
-
-
-class TestScheduleRowBlocks:
-    def test_equal_shares_per_step(self):
-        blocks = schedule_row_blocks((10, 20), 10)
-        assert len(blocks) == 2
-        for per_chain in blocks:
-            assert [b.size for b in per_chain] == [1] * 10
-        dealt = np.concatenate([b for per_chain in blocks for b in per_chain])
-        assert sorted(dealt.tolist()) == list(range(20))
-
-    def test_remainders_spread_round_robin(self):
-        blocks = schedule_row_blocks((5, 8), 3)
-        assert [b.size for b in blocks[0]] == [2, 2, 1]
-        assert [b.size for b in blocks[1]] == [1, 1, 1]
-        dealt = np.concatenate([b for per_chain in blocks for b in per_chain])
-        assert sorted(dealt.tolist()) == list(range(8))
 
 
 class WrappedQuadratic(DifferentiableEnergy):
@@ -496,8 +469,7 @@ class TestIncrementalProtocol:
                                          RowCount(21), cfg)
         generic = run_incremental_protocol(WrappedQuadratic([1.0, 0.5, 2.0]),
                                            RowCount(21), cfg)
-        assert [b.size for b in schedule_row_blocks(cfg.n_schedule, 5)[2]] == [
-            1, 1, 0, 0, 0]
+        assert [np.arange(c, 12, 5).size for c in range(5)] == [3, 3, 2, 2, 2]
         np.testing.assert_array_equal(fused.curve.u_mean, generic.curve.u_mean)
         np.testing.assert_array_equal(fused.curve.u_stderr, generic.curve.u_stderr)
         assert fused.records == generic.records
@@ -585,6 +557,46 @@ class TestIncrementalProtocol:
                 run_incremental_protocol(energy, RowCount(11),
                                          self.diverging_config(3864))
             assert str(err.value) == message
+
+    @pytest.mark.parametrize("schedule, chains", [
+        ((10, 20), 10),
+        ((5, 8), 3),
+        ((5, 10, 12, 20), 5),
+    ], ids=["equal-shares", "remainders", "two-stacks"])
+    def test_chain_pools_are_strided_rows(self, schedule, chains):
+        # with every pool inside one batch each epoch steps each chain once
+        # on its whole pool, in row order; a schedule point ends with its
+        # one held-out readout
+        class RowRecording(DifferentiableEnergy):
+            def __init__(self):
+                self.points = [Counter()]
+
+            @property
+            def dim(self):
+                return 1
+
+            def value(self, weights, rows):
+                return 0.0
+
+            def gradient(self, weights, rows):
+                self.points[-1].update(tuple(r) for r in np.asarray(rows).tolist())
+                return np.zeros_like(weights)
+
+            def prob_on_rows(self, weights, rows):
+                return np.full(np.shape(weights)[:-1] + np.shape(rows)[-1:], 0.5)
+
+            def heldout_means(self, samples, rows):
+                self.points.append(Counter())
+                return super().heldout_means(samples, rows)
+
+        energy = RowRecording()
+        cfg = SgldConfig(step_size=0.01, n_schedule=schedule, chains=chains,
+                         equilibration_epochs=1, samples_per_window=2, seed=0)
+        run_incremental_protocol(energy, RowCount(schedule[-1] + 1), cfg)
+        assert energy.points[-1] == Counter()
+        assert energy.points[:-1] == [
+            Counter({tuple(range(c, n, chains)): 3 for c in range(chains)})
+            for n in schedule]
 
     def test_minibatched_path_runs(self):
         cfg = self.config(batch_size=1, equilibration_epochs=30,
@@ -686,7 +698,6 @@ def _reference_protocol(energy, dataset, config, dataset_id="sgld"):
     schedule, k = config.n_schedule, config.chains
     batch, m = config.batch_size, config.samples_per_window
     heldout = np.arange(schedule[-1], dataset.n_rows)
-    blocks = schedule_row_blocks(schedule, k)
     pools = [np.empty(0, dtype=np.int64)] * k
     states = [np.zeros(energy.dim) for _ in range(k)]
     noise_rngs = [derive_rng(config.seed, c, 0) for c in range(k)]
@@ -695,8 +706,10 @@ def _reference_protocol(energy, dataset, config, dataset_id="sgld"):
     failures, records, u_mean, u_stderr, windows = [], [], [], [], []
     for j, n in enumerate(schedule):
         chain_means, pooled = [], []
+        # each schedule step deals its new rows round-robin by row index
+        fresh = np.arange(schedule[j - 1] if j else 0, n)
         for c in range(k):
-            pools[c] = np.concatenate([pools[c], blocks[j][c]])
+            pools[c] = np.concatenate([pools[c], fresh[fresh % k == c]])
             if not alive[c]:
                 continue
             w, samples = states[c], []
@@ -858,3 +871,8 @@ class TestStackedWindow:
         np.testing.assert_array_equal(
             energy.heldout_means(samples, rows),
             _reference_heldout_means(energy, samples, rows))
+
+
+@pytest.mark.parametrize("name", capmeter.sgld.__all__)
+def test_public_name_resolves(name):
+    assert hasattr(capmeter.sgld, name)
