@@ -66,6 +66,7 @@ from .protocol import (
     RECORD_HEADER,
     EnergyCurve,
     ProtocolConfig,
+    content_lines,
     default_n_grid,
     estimate_avg_energy,
     ingest_records,
@@ -115,12 +116,7 @@ def parse_grid(text: str):
         if not (1 <= lo < hi) or count < 2:
             raise ConfigError(f"bad grid bounds in {text!r}")
         return default_n_grid(lo, hi, count)
-    try:
-        grid = tuple(int(part) for part in text.split(","))
-    except ValueError:
-        raise ConfigError(
-            f"grid {text!r} is neither lo:hi:Klog nor a comma list of integers")
-    return grid
+    return _parse_ints(text)
 
 
 def _parse_kv(text: str) -> dict:
@@ -226,36 +222,22 @@ def _write_curve(path, curve: EnergyCurve, manifest) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _read_curve(path) -> EnergyCurve:
-    scale = "nll"
+def _read_curve(path, scale: str) -> EnergyCurve:
+    lines = content_lines(path)
+    lineno, header = next(lines, (0, None))
+    if header != CURVE_HEADER:
+        raise ParseError(f"expected curve header {CURVE_HEADER!r}", line=lineno)
     rows = []
-    header_seen = False
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line.lstrip("#").strip()
-                if body.startswith("scale="):
-                    scale = body[len("scale="):]
-                continue
-            if not header_seen:
-                if line != CURVE_HEADER:
-                    raise ParseError(f"expected curve header {CURVE_HEADER!r}",
-                                     line=lineno)
-                header_seen = True
-                continue
-            parts = line.split(",")
-            if len(parts) != 4:
-                raise ParseError(f"expected 4 fields, got {len(parts)}",
-                                 line=lineno)
-            try:
-                rows.append((int(parts[0]), float(parts[1]), float(parts[2]),
-                             int(parts[3])))
-            except ValueError as exc:
-                raise ParseError(str(exc), line=lineno)
-    if not header_seen or not rows:
+    for lineno, line in lines:
+        parts = line.split(",")
+        if len(parts) != 4:
+            raise ParseError(f"expected 4 fields, got {len(parts)}", line=lineno)
+        try:
+            rows.append((int(parts[0]), float(parts[1]), float(parts[2]),
+                         int(parts[3])))
+        except ValueError as exc:
+            raise ParseError(str(exc), line=lineno)
+    if not rows:
         raise ParseError("curve file has no data rows", line=0)
     rows.sort()
     return EnergyCurve(n=np.array([r[0] for r in rows], dtype=np.float64),
@@ -266,20 +248,17 @@ def _read_curve(path) -> EnergyCurve:
 
 
 def _load_curve_input(path) -> EnergyCurve:
-    """Accept either a record file or a curve summary file."""
-    with open(path) as fh:
-        for line in fh:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            first = stripped
-            break
-        else:
-            raise ParseError("file has no content lines", line=0)
-    if first == RECORD_HEADER:
-        records = ingest_records(path)
-        return estimate_avg_energy(records)
-    return _read_curve(path)
+    """Accept either a record file or a curve summary file.  A ``# scale=``
+    comment line names the curve's scale, "nll" when there is none."""
+    with open(path, encoding="utf-8") as fh:
+        notes = [re.fullmatch(r"#+\s*scale=(.*)", raw.strip()) for raw in fh]
+    scale = next((note.group(1) for note in reversed(notes) if note), "nll")
+    first = next(content_lines(path), None)
+    if first is None:
+        raise ParseError("file has no content lines", line=0)
+    if first[1] == RECORD_HEADER:
+        return estimate_avg_energy(ingest_records(path), scale=scale)
+    return _read_curve(path, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +287,12 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _capacity_by_n(readout, model, curve) -> list:
+    """``readout(model, N)`` at each N of the curve, as report entries."""
+    points = [(int(n), readout(model, float(n))) for n in curve.n]
+    return [{"n": n, "value": p.value, "stderr": p.stderr} for n, p in points]
+
+
 def _sigmoid_section(model, curve):
     n_max = float(curve.n[-1])
     cap = capacity_from_sigmoid(model, n_max)
@@ -319,10 +304,6 @@ def _sigmoid_section(model, curve):
             n_star = None
     except UndefinedThreshold:
         n_star, guidance_tag = None, "undefined"
-    by_n = []
-    for n in curve.n:
-        point = capacity_from_sigmoid(model, float(n))
-        by_n.append({"n": int(n), "value": point.value, "stderr": point.stderr})
     lo, hi = model.n_star_interval
     return {
         "a": model.a, "b": model.b, "c": model.c, "u_inf": model.u_inf,
@@ -336,23 +317,18 @@ def _sigmoid_section(model, curve):
                             hi if np.isfinite(hi) else None],
         "guidance": guidance_tag,
         "capacity_at_n_max": {"value": cap.value, "stderr": cap.stderr},
-        "capacity_by_n": by_n,
+        "capacity_by_n": _capacity_by_n(capacity_from_sigmoid, model, curve),
     }
 
 
 def _poly_section(model, curve):
-    n_max = float(curve.n[-1])
-    cap = capacity_from_polynomial(model, n_max)
-    by_n = []
-    for n in curve.n:
-        point = capacity_from_polynomial(model, float(n))
-        by_n.append({"n": int(n), "value": point.value, "stderr": point.stderr})
+    cap = capacity_from_polynomial(model, float(curve.n[-1]))
     return {
         "degree": model.degree,
         "residual_rms": model.residual_rms,
         "constraints_active": model.constraints_active,
         "capacity_at_n_max": {"value": cap.value, "stderr": cap.stderr},
-        "capacity_by_n": by_n,
+        "capacity_by_n": _capacity_by_n(capacity_from_polynomial, model, curve),
     }
 
 
@@ -487,7 +463,8 @@ def cmd_oracle(args) -> int:
 
 
 def _read_fit_report(path, index: int):
-    """Label, capacity by N and loss by N from one fit .json report."""
+    """Label, scale ("nll" when absent), capacity by N and loss by N from
+    one fit .json report."""
     with open(path) as fh:
         try:
             data = json.load(fh)
@@ -496,6 +473,7 @@ def _read_fit_report(path, index: int):
                              column=exc.colno) from None
     try:
         label = data.get("label", f"model-{index}")
+        scale = data.get("scale", "nll")
         section = data.get("sigmoid") or data.get("poly")
         if not section:
             raise ConfigError(f"report {label!r} has no fitted capacity section")
@@ -504,7 +482,7 @@ def _read_fit_report(path, index: int):
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path} is not a fit report: "
                          f"{type(exc).__name__}: {exc}", line=0) from None
-    return label, caps, losses
+    return label, scale, caps, losses
 
 
 def cmd_compare(args) -> int:
@@ -512,7 +490,10 @@ def cmd_compare(args) -> int:
         raise ConfigError(
             f"compare needs two or more fit .json reports, got {len(args.reports)}")
     reports = [_read_fit_report(path, i) for i, path in enumerate(args.reports)]
-    labels, caps, losses = (list(column) for column in zip(*reports))
+    labels, scales, caps, losses = (list(column) for column in zip(*reports))
+    if len(set(scales)) > 1:
+        raise ConfigError("fit reports mix energy scales: " + ", ".join(
+            f"{label}={scale}" for label, scale in zip(labels, scales)))
     shared = sorted(set.intersection(*(set(c) for c in caps)))
     if not shared:
         raise ConfigError("fit reports have no overlapping sample sizes")
@@ -630,8 +611,9 @@ def cmd_sgld(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _add_data_flags(sub) -> None:
-    sub.add_argument("--synthetic", help="synthetic spec, e.g. d=20,kappa=1")
-    sub.add_argument("--data", help="tabular CSV path")
+    source = sub.add_mutually_exclusive_group()
+    source.add_argument("--synthetic", help="synthetic spec, e.g. d=20,kappa=1")
+    source.add_argument("--data", help="tabular CSV path")
 
 
 def build_parser() -> ArgumentParser:

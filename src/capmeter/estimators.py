@@ -594,7 +594,7 @@ def _n_star_interval(rows, profile, ell_hat, level, best, refine):
     return ends[0], ends[1]
 
 
-def fit_sigmoid_capacity(curve: EnergyCurve, init=None) -> SigmoidCapacityModel:
+def fit_sigmoid_capacity(curve: EnergyCurve) -> SigmoidCapacityModel:
     """Fit (a, b, c, u_inf) through the integrated sigmoid energy.
 
     Weighted least squares by variable projection (Golub and Pereyra 1973):
@@ -602,8 +602,7 @@ def fit_sigmoid_capacity(curve: EnergyCurve, init=None) -> SigmoidCapacityModel:
     energy u_inf + a T(N) is linear in (a, u_inf), which are solved in
     closed form with a >= 0.  The profiled cost is evaluated on a fixed
     grid of shapes, one vectorised tail call per log c column, and the best
-    grid point (or ``init``, given as (a, b, c, u_inf), of which only b and
-    c are used) is polished by a damped Newton method on the two shape
+    grid point is polished by a damped Newton method on the two shape
     parameters.
 
     The minimum over log c in each log n* row is the profile in log n*;
@@ -638,14 +637,8 @@ def fit_sigmoid_capacity(curve: EnergyCurve, init=None) -> SigmoidCapacityModel:
         grid[:, j] = _linear_profile(t, y, w)[2]
     if not np.isfinite(grid.min()):
         raise FitDiverged("no sigmoid shape gives a finite cost")
-    if init is not None:
-        _, b0, c0, _ = init
-        if init[0] <= 0 or c0 <= 0:
-            raise InvalidArgument("init requires a > 0 and c > 0")
-        start = np.array([b0 / c0, math.log(c0)])
-    else:
-        i, j = np.unravel_index(np.argmin(grid), grid.shape)
-        start = np.array([rows[i], _GRID_LOG_C[j]])
+    i, j = np.unravel_index(np.argmin(grid), grid.shape)
+    start = np.array([rows[i], _GRID_LOG_C[j]])
     shape = _polish(_Shape(np.clip(start, lo, hi), x, y, w), lo, hi)
 
     a, u_inf, cost = shape.a, shape.u_inf, shape.cost

@@ -1,14 +1,12 @@
 """Reference learners and data generation.
 
-Three desk-scale learners share one protocol interface,
-``score_many(dataset, jobs)``, which trains a group of protocol jobs and
-returns each job's raw held-out NLL terms, and each declares in
-``USES_SEED`` whether its fit depends on the seed.  ``fit(dataset, rows,
-seed)`` returns an immutable predictive model exposing per-example
-log-probabilities.  The logistic and MLP learners train only through
-``fit_many(dataset, jobs)``, which trains many protocol jobs as one stack;
-their ``fit`` is its one-job case.  The k-NN learner fits and scores one job
-at a time.
+Three desk-scale learners share one contract, ``Learner``: each supplies
+``fit_many(dataset, jobs)``, which yields one predictive model per protocol
+job, in job order, and declares in ``USES_SEED`` whether a fit depends on
+the seed.  ``fit(dataset, rows, seed)`` is the one-job case, and
+``score_many(dataset, jobs)`` scores each model's held-out rows as it
+arrives.  The logistic and MLP learners train many jobs as one stack; the
+k-NN's ``fit_many`` fits one job at a time and keeps no model past its job.
 The synthetic generator draws Gaussian inputs with geometrically decaying
 per-coordinate variances and labels them with a fixed random one-hidden-layer
 teacher, so harder (faster-decaying) feature spectra are a one-knob dial.
@@ -31,7 +29,7 @@ from .errors import (
     ParseError,
     TrainingFailure,
 )
-from .protocol import Job, derive_rng
+from .protocol import Job, content_lines, derive_rng
 
 
 class _Regression:
@@ -190,9 +188,9 @@ class PredictiveModel:
 
 
 class Learner:
-    """What the protocol trains: ``score_many(dataset, jobs)`` returns each
-    job's raw held-out NLL terms, in job order, and a training failure
-    names its job in ``job``.
+    """What the protocol trains.  A learner supplies ``fit_many(dataset,
+    jobs)``, an iterable of one predictive model per job, in job order; a
+    training failure names its job in ``job``.
 
     ``USES_SEED`` declares whether a fit depends on its seed.  When it does
     not, jobs that differ only in the seed train the same model, so the
@@ -201,25 +199,38 @@ class Learner:
 
     USES_SEED = True
 
-    def score_many(self, dataset: Dataset, jobs) -> list:
-        raise NotImplementedError
-
-
-class _StackedLearner(Learner):
-    """A learner whose one trainer is ``fit_many(dataset, jobs)``.
-
-    ``fit`` trains the one job of ``rows`` and ``seed``, and a training
-    failure names that job in its ``job``.
-    """
-
     def fit(self, dataset: Dataset, rows, seed: int) -> PredictiveModel:
+        """The model of the one job that trains on ``rows`` with ``seed``;
+        a training failure names that job in its ``job``."""
         rows = np.asarray(rows, dtype=np.int64)
-        job = Job(rows.size, 0, 0, 0, seed, rows, rows[:0])
-        return self.fit_many(dataset, [job])[0]
+        [model] = self.fit_many(dataset, [Job(rows.size, 0, 0, 0, seed, rows,
+                                               rows[:0])])
+        return model
 
     def score_many(self, dataset: Dataset, jobs) -> list:
+        """Each job's raw held-out NLL terms, in job order."""
         return [model.nll_terms(dataset, job.heldout_rows)
                 for job, model in zip(jobs, self.fit_many(dataset, jobs))]
+
+
+def _check_jobs(dataset: Dataset, jobs, name: str) -> None:
+    """A classifier's checks: class labels, and training rows for each job."""
+    if not dataset.is_classification:
+        raise InvalidArgument(f"{name} learner requires class labels")
+    for job in jobs:
+        if job.train_rows.size == 0:
+            raise EmptyTrainingSet(f"{name} learner needs training rows",
+                                   job=job)
+
+
+def _check_finite(jobs, bad, unit: str) -> None:
+    """Raise for the first job whose kernel reports a non-finite loss at
+    ``bad`` (the iteration or epoch; -1 for none)."""
+    for job, b in zip(jobs, bad):
+        if b >= 0:
+            b = int(b)
+            raise NonFiniteLoss(b, f"loss became non-finite at {unit} {b}",
+                                job=job)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -330,17 +341,16 @@ class KnnLearner(Learner):
         self.alpha = alpha
         self.sigma = sigma
 
-    def score_many(self, dataset: Dataset, jobs) -> list:
-        """Fits and scores one job at a time, keeping no model past its job."""
-        terms = []
+    def fit_many(self, dataset: Dataset, jobs):
+        """Fits one job at a time, as each model is asked for, so no model
+        outlives its job."""
         for job in jobs:
             try:
                 model = self.fit(dataset, job.train_rows, job.seed)
             except TrainingFailure as exc:
                 exc.job = job
                 raise
-            terms.append(model.nll_terms(dataset, job.heldout_rows))
-        return terms
+            yield model
 
     def fit(self, dataset: Dataset, rows, seed: int) -> KnnModel:
         rows = np.asarray(rows, dtype=np.int64)
@@ -401,15 +411,10 @@ def logistic_log_probs_xb(weights: np.ndarray, xb: np.ndarray) -> np.ndarray:
     return _log_softmax(full)
 
 
-def logistic_grad(weights: np.ndarray, inputs: np.ndarray,
-                  labels: np.ndarray) -> np.ndarray:
-    """Gradient of the mean NLL with respect to the weights (no penalty)."""
-    return logistic_grad_xb(weights, with_bias(inputs), labels)
-
-
 def logistic_grad_xb(weights: np.ndarray, xb: np.ndarray,
                      labels: np.ndarray) -> np.ndarray:
-    """``logistic_grad`` on inputs that already carry the bias column.
+    """Gradient of the mean NLL with respect to the weights (no penalty), on
+    inputs that already carry the bias column.
 
     Takes a stack as well: weights (chains, m-1, d+1), inputs (chains, n,
     d+1) and labels (chains, n) give (chains, m-1, d+1), one matmul per
@@ -435,7 +440,7 @@ class LogisticModel(PredictiveModel):
         return logistic_log_probs(self.weights, inputs)
 
 
-class LogisticLearner(_StackedLearner):
+class LogisticLearner(Learner):
     GRAD_TOL = 1e-7
     USES_SEED = False
 
@@ -452,13 +457,8 @@ class LogisticLearner(_StackedLearner):
         trains as it would alone.  A training failure is raised for the
         first job, in order, that fails, with that job as its ``job``.
         """
-        if not dataset.is_classification:
-            raise InvalidArgument("logistic learner requires class labels")
+        _check_jobs(dataset, jobs, "logistic")
         sizes = np.array([job.train_rows.size for job in jobs])
-        for job, size in zip(jobs, sizes):
-            if size == 0:
-                raise EmptyTrainingSet("logistic regression needs training rows",
-                                       job=job)
         rows = np.zeros((len(jobs), sizes.max()), dtype=np.int64)
         real = np.arange(rows.shape[1]) < sizes[:, None]
         rows[real] = np.concatenate([job.train_rows for job in jobs])
@@ -468,11 +468,7 @@ class LogisticLearner(_StackedLearner):
         w, _, iters, bad = kernels.logistic_gd_stack(
             xb, y, sizes, dataset.m_classes, self.l2, self.lr, self.epochs,
             self.GRAD_TOL)
-        for job, b in zip(jobs, bad):
-            if b >= 0:
-                b = int(b)
-                raise NonFiniteLoss(b, f"loss became non-finite at iteration {b}",
-                                    job=job)
+        _check_finite(jobs, bad, "iteration")
         return [LogisticModel(w[k], dataset.m_classes, int(iters[k]))
                 for k in range(len(jobs))]
 
@@ -553,7 +549,7 @@ class MlpModel(PredictiveModel):
         return mlp_log_probs(self.params, inputs)
 
 
-class MlpLearner(_StackedLearner):
+class MlpLearner(Learner):
     MOMENTUM = 0.9
     USES_SEED = True
 
@@ -573,12 +569,9 @@ class MlpLearner(_StackedLearner):
         raised for the first job, in order, that fails, with that job as
         its ``job``.
         """
-        if not dataset.is_classification:
-            raise InvalidArgument("MLP learner requires class labels")
+        _check_jobs(dataset, jobs, "MLP")
         parts = {}
         for k, job in enumerate(jobs):
-            if job.train_rows.size == 0:
-                raise EmptyTrainingSet("MLP needs training rows", job=job)
             parts.setdefault(job.train_rows.size, []).append(k)
         m = dataset.m_classes
         models = [None] * len(jobs)
@@ -598,11 +591,7 @@ class MlpLearner(_StackedLearner):
             for i, k in enumerate(ks):
                 models[k] = MlpModel(tuple(p[i] for p in params), m,
                                      float(loss[i]))
-        for job, b in zip(jobs, bad):
-            if b >= 0:
-                b = int(b)
-                raise NonFiniteLoss(b, f"loss became non-finite at epoch {b}",
-                                    job=job)
+        _check_finite(jobs, bad, "epoch")
         return models
 
 
@@ -646,32 +635,26 @@ def load_tabular(path, kind: str = "auto") -> Dataset:
         raise InvalidArgument(f"unknown kind {kind!r}")
     rows = []
     width = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split(",")
-            if width is None:
-                width = len(fields)
-                if width < 2:
-                    raise ParseError("need at least one feature and a label",
-                                     lineno)
-            elif len(fields) != width:
-                raise ParseError(
-                    f"expected {width} fields, got {len(fields)}", lineno)
-            values = []
-            for col, field in enumerate(fields, start=1):
-                try:
-                    v = float(field)
-                except ValueError:
-                    raise ParseError(f"non-numeric field {field.strip()!r}",
-                                     lineno, column=col) from None
-                if not np.isfinite(v):
-                    raise ParseError(f"non-finite field {field.strip()!r}",
-                                     lineno, column=col)
-                values.append(v)
-            rows.append(values)
+    for lineno, line in content_lines(path):
+        fields = line.split(",")
+        if width is None:
+            width = len(fields)
+            if width < 2:
+                raise ParseError("need at least one feature and a label", lineno)
+        elif len(fields) != width:
+            raise ParseError(f"expected {width} fields, got {len(fields)}", lineno)
+        values = []
+        for col, field in enumerate(fields, start=1):
+            try:
+                v = float(field)
+            except ValueError:
+                raise ParseError(f"non-numeric field {field.strip()!r}",
+                                 lineno, column=col) from None
+            if not np.isfinite(v):
+                raise ParseError(f"non-finite field {field.strip()!r}",
+                                 lineno, column=col)
+            values.append(v)
+        rows.append(values)
     if not rows:
         raise ParseError("no data rows", 1)
     data = np.asarray(rows, dtype=np.float64)

@@ -297,7 +297,7 @@ def run_protocol(dataset, learner, config: ProtocolConfig,
     return RunResult(records, clamps)
 
 
-def estimate_avg_energy(records, expected_n=None, scale: str = "nll") -> EnergyCurve:
+def estimate_avg_energy(records, scale: str = "nll") -> EnergyCurve:
     """Aggregate records into the energy curve.
 
     One replicate is one (boot, seed) pair pooled over its folds:
@@ -307,10 +307,10 @@ def estimate_avg_energy(records, expected_n=None, scale: str = "nll") -> EnergyC
 
     Args:
         records: EnergyRecord list for a single dataset_id.
-        expected_n: optional iterable of N that must all be present.
+        scale: the curve's ``scale`` (see :class:`EnergyCurve`).
 
     Raises:
-        EmptyGroup: no records at all, or a requested N missing.
+        EmptyGroup: no records at all.
         NonFinite: a record with non-finite nll_sum.
         InvalidArgument: records span multiple dataset ids.
     """
@@ -327,10 +327,6 @@ def estimate_avg_energy(records, expected_n=None, scale: str = "nll") -> EnergyC
             raise NonFinite(f"record {rec} has non-finite nll_sum")
         by_n.setdefault(rec.sample_size, {}).setdefault(
             (rec.boot_index, rec.seed_index), []).append(rec)
-    if expected_n is not None:
-        for n in expected_n:
-            if int(n) not in by_n:
-                raise EmptyGroup(f"no records at N={int(n)}")
     ns = sorted(by_n)
     means, errs, counts = [], [], []
     for n in ns:
@@ -380,6 +376,16 @@ def loocv_avg_energy(learner, dataset, seed: int = 0) -> float:
 # record files
 # ---------------------------------------------------------------------------
 
+def content_lines(path):
+    """(line number, stripped line) for each line of a text file that is
+    neither blank nor a '#' comment; line numbers count from 1."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield lineno, line
+
+
 def write_records(path, records, comments=()) -> None:
     """Write records as CSV; '#' comment lines go before the header."""
     with open(path, "w", encoding="utf-8") as fh:
@@ -400,52 +406,43 @@ def ingest_records(path) -> list:
         InvariantViolation: invalid field values (e.g. heldout_count 0).
         DuplicateKey: repeated (dataset, N, boot, fold, seed) tuple.
     """
+    lines = content_lines(path)
+    first = next(lines, None)
+    if first is None:
+        raise ParseError("missing record header", 1)
+    if first[1] != RECORD_HEADER:
+        raise ParseError(f"expected header {RECORD_HEADER!r}", first[0])
     records = []
     seen = set()
-    header_seen = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                continue
-            if not header_seen:
-                if line != RECORD_HEADER:
-                    raise ParseError(
-                        f"expected header {RECORD_HEADER!r}", lineno)
-                header_seen = True
-                continue
-            fields = line.split(",")
-            if len(fields) != 7:
-                raise ParseError(f"expected 7 fields, got {len(fields)}", lineno)
-            try:
-                dataset_id = fields[0]
-                sample_size = int(fields[1])
-                boot = int(fields[2])
-                fold = int(fields[3])
-                seed_idx = int(fields[4])
-            except ValueError as exc:
-                raise ParseError(f"bad integer field: {exc}", lineno, column=2) from None
-            try:
-                nll_sum = float(fields[5])
-            except ValueError:
-                raise ParseError(f"bad nll_sum {fields[5]!r}", lineno, column=6) from None
-            try:
-                heldout = int(fields[6])
-            except ValueError:
-                raise ParseError(f"bad heldout_count {fields[6]!r}", lineno,
-                                 column=7) from None
-            key = (dataset_id, sample_size, boot, fold, seed_idx)
-            if key in seen:
-                raise DuplicateKey(f"duplicate record key {key} at line {lineno}")
-            seen.add(key)
-            try:
-                rec = EnergyRecord(dataset_id, sample_size, boot, fold,
-                                   seed_idx, nll_sum, heldout)
-            except (InvariantViolation, NonFinite) as exc:
-                raise InvariantViolation(f"line {lineno}: {exc}") from None
-            records.append(rec)
-    if not header_seen:
-        raise ParseError("missing record header", 1)
+    for lineno, line in lines:
+        fields = line.split(",")
+        if len(fields) != 7:
+            raise ParseError(f"expected 7 fields, got {len(fields)}", lineno)
+        try:
+            dataset_id = fields[0]
+            sample_size = int(fields[1])
+            boot = int(fields[2])
+            fold = int(fields[3])
+            seed_idx = int(fields[4])
+        except ValueError as exc:
+            raise ParseError(f"bad integer field: {exc}", lineno, column=2) from None
+        try:
+            nll_sum = float(fields[5])
+        except ValueError:
+            raise ParseError(f"bad nll_sum {fields[5]!r}", lineno, column=6) from None
+        try:
+            heldout = int(fields[6])
+        except ValueError:
+            raise ParseError(f"bad heldout_count {fields[6]!r}", lineno,
+                             column=7) from None
+        key = (dataset_id, sample_size, boot, fold, seed_idx)
+        if key in seen:
+            raise DuplicateKey(f"duplicate record key {key} at line {lineno}")
+        seen.add(key)
+        try:
+            rec = EnergyRecord(dataset_id, sample_size, boot, fold,
+                               seed_idx, nll_sum, heldout)
+        except (InvariantViolation, NonFinite) as exc:
+            raise InvariantViolation(f"line {lineno}: {exc}") from None
+        records.append(rec)
     return records

@@ -103,7 +103,7 @@ def write_json_report(path, payload: dict, manifest: dict) -> None:
 # ---------------------------------------------------------------------------
 # minimal SVG line charts
 # ---------------------------------------------------------------------------
-# Hand-written vector output: one or two stacked panels, log-scaled sample
+# Hand-written vector output: two stacked panels, log-scaled sample
 # size on the x axis.  The drawing is a pure function of the series passed
 # in -- no timestamps, no environment lookups -- so identical reports
 # produce identical charts.
@@ -181,16 +181,16 @@ def _panel_svg(origin_y: float, title: str, series, points=None,
     return out
 
 
-def write_curve_chart(path, reference: str, energy_panel, capacity_panel=None) -> None:
+def write_curve_chart(path, reference: str, energy_panel, capacity_panel) -> None:
     """Two-panel chart: average energy on top, capacity underneath.
 
     ``energy_panel`` is (n, u, stderr, fitted_n, fitted_u) with the fitted
-    pair optional (None to skip); ``capacity_panel`` is (n, capacity) or
-    None.  ``reference`` names the report the chart belongs to.
+    pair optional (None to skip); ``capacity_panel`` is (n, capacity).
+    ``reference`` names the report the chart belongs to.
     """
     n, u, se, fit_n, fit_u = energy_panel
-    panels = 1 if capacity_panel is None else 2
-    height = panels * (_PANEL_H + _MARGIN_T + _MARGIN_B)
+    cap_n, cap_c = capacity_panel
+    height = 2 * (_PANEL_H + _MARGIN_T + _MARGIN_B)
     width = _MARGIN_L + _PANEL_W + _MARGIN_R
     body = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
             f'height="{height}" viewBox="0 0 {width} {height}">',
@@ -201,11 +201,8 @@ def write_curve_chart(path, reference: str, energy_panel, capacity_panel=None) -
         series.append((fit_n, fit_u, "#1f77b4"))
     body.extend(_panel_svg(0, "average energy vs N", series,
                            points=(n, u), errorbars=(n, u, se)))
-    if capacity_panel is not None:
-        cap_n, cap_c = capacity_panel
-        body.extend(_panel_svg(_PANEL_H + _MARGIN_T + _MARGIN_B,
-                               "capacity vs N", [(cap_n, cap_c, "#d62728")],
-                               points=(cap_n, cap_c)))
+    body.extend(_panel_svg(_PANEL_H + _MARGIN_T + _MARGIN_B, "capacity vs N",
+                           [(cap_n, cap_c, "#d62728")], points=(cap_n, cap_c)))
     body.append("</svg>")
     with open(path, "w") as fh:
         fh.write("\n".join(body) + "\n")

@@ -83,8 +83,8 @@ class SgldConfig:
         sched = tuple(int(n) for n in self.n_schedule)
         if len(sched) == 0:
             raise ConfigError("n_schedule must not be empty")
-        if sched[0] < 1:
-            raise ConfigError(f"schedule sample sizes must be >= 1, got {sched[0]}")
+        if sched[0] < 2:
+            raise ConfigError(f"schedule sample sizes must be >= 2, got {sched[0]}")
         if any(b <= a for a, b in zip(sched, sched[1:])):
             raise ConfigError(f"n_schedule must be strictly increasing, got {sched}")
         object.__setattr__(self, "n_schedule", sched)

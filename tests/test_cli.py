@@ -16,9 +16,10 @@ from scipy import integrate
 
 import capmeter.estimators
 from capmeter import cli
-from capmeter.errors import ConfigError, InvariantViolation
+from capmeter.errors import ConfigError, InvariantViolation, ParseError
+from capmeter.learners import load_tabular
 from capmeter.oracle import HessianSpectrum, pacbayes_bound, save_spectrum
-from capmeter.protocol import RECORD_HEADER, EnergyRecord
+from capmeter.protocol import RECORD_HEADER, EnergyRecord, ingest_records
 
 
 def truth_energy(a, b, c, u_inf, n):
@@ -53,6 +54,23 @@ def fit_report(label, ns, losses, caps):
 RUN_ARGV = ["run", "--learner", "logistic", "--synthetic", "d=2,kappa=0,seed=1",
             "--n-grid", "20:400:8log", "--boots", "2", "--folds", "3",
             "--seeds", "1", "--epochs", "300", "--seed", "5", "--jobs", "1"]
+
+
+SGLD_ARGV = ["sgld", "--learner", "quadratic", "--lambda", "1,0.5",
+             "--schedule", "4,8,16,32,64,128,256,512,1024,2048",
+             "--step", "0.002", "--chains", "3", "--equil", "50",
+             "--samples", "400", "--seed", "4", "--heldout-rows", "1"]
+
+
+@pytest.fixture(scope="module")
+def sgld_fit_dir(tmp_path_factory):
+    """A quadratic ``sgld`` record file over 10 schedule points and its
+    ``fit --method poly`` report."""
+    path = tmp_path_factory.mktemp("cli-sgld")
+    assert cli.main(SGLD_ARGV + ["--out", str(path / "sgld")]) == 0
+    assert cli.main(["fit", str(path / "sgld"), "--method", "poly",
+                     "--out", str(path / "sgld-fit")]) == 0
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -211,6 +229,19 @@ class TestDataFlags:
         assert "error: ConfigError: --data file name 'a,b'" in err
         assert list(tmp_path.iterdir()) == [csv]
 
+    @pytest.mark.parametrize("command", sorted(DATA_ARGV))
+    def test_synthetic_and_data_exclude_each_other(self, tmp_path, capsys,
+                                                   command):
+        # --data used to be ignored beside --synthetic, missing file or not
+        out = tmp_path / "r.csv"
+        code = cli.main(DATA_ARGV[command]
+                        + ["--synthetic", "d=3,seed=1",
+                           "--data", str(tmp_path / "missing.csv"),
+                           "--out", str(out)])
+        assert code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("dataset_id", ["a,b", "a\nb", "a\rb"])
     def test_record_refuses_an_id_that_splits_its_line(self, dataset_id):
         with pytest.raises(InvariantViolation, match="dataset_id"):
@@ -230,6 +261,12 @@ class TestFit:
         assert a["u_mean"] == b["u_mean"]
         assert a["sigmoid"]["a"] == b["sigmoid"]["a"]
         assert a["sigmoid"]["capacity_at_n_max"] == b["sigmoid"]["capacity_at_n_max"]
+
+    def test_sgld_records_keep_their_scale(self, sgld_fit_dir):
+        text = (sgld_fit_dir / "sgld-fit.txt").read_text()
+        assert "scale probability-complement" in text.splitlines()
+        report = json.loads((sgld_fit_dir / "sgld-fit.json").read_text())
+        assert report["scale"] == "probability-complement"
 
     def test_params_ratio_line(self, tmp_path, capsys):
         n = np.rint(np.geomspace(1e3, 1e6, 12)).astype(np.int64)
@@ -524,6 +561,20 @@ class TestCompare:
         assert "no overlapping sample sizes" in capsys.readouterr().err
 
 
+    def test_mixed_scales_exit_2(self, run_dir, sgld_fit_dir, tmp_path, capsys):
+        nll = tmp_path / "run-fit"
+        assert cli.main(["fit", str(run_dir / "records.csv.curve"),
+                         "--method", "sigmoid", "--out", str(nll)]) == 0
+        out = tmp_path / "ranking"
+        code = cli.main(["compare", str(nll) + ".json",
+                         str(sgld_fit_dir / "sgld-fit.json"), "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert ("error: ConfigError: fit reports mix energy scales: "
+                "records.csv=nll, sgld=probability-complement") in err
+        assert not (tmp_path / "ranking.txt").exists()
+
+
 class TestSgld:
     def test_non_differentiable_learner_exits_2(self, tmp_path, capsys):
         code = cli.main(["sgld", "--learner", "knn", "--schedule", "5,10",
@@ -570,6 +621,20 @@ class TestSgld:
         assert f"--heldout-rows must be >= 1, got {rows}" in err
         assert not (tmp_path / "s").exists()
 
+    def test_schedule_below_two_exits_2_before_sampling(self, tmp_path, capsys,
+                                                        monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(cli, "run_incremental_protocol", no_sampling)
+        code = cli.main(["sgld", "--learner", "quadratic", "--lambda", "1",
+                         "--schedule", "1,2", "--step", "0.01", "--chains", "1",
+                         "--out", str(tmp_path / "s")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: ConfigError: schedule sample sizes must be >= 2" in err
+        assert not (tmp_path / "s").exists()
+
     def test_majority_chain_failure_exits_3(self, tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
             code = cli.main(["sgld", "--learner", "quadratic", "--lambda", "1",
@@ -578,3 +643,38 @@ class TestSgld:
                              "--seed", "0", "--out", str(tmp_path / "s")])
         assert code == 3
         assert "NonFiniteState" in capsys.readouterr().err
+
+
+NOTES = ["# note", "", "   ", "\t# indented note"]
+READERS = {  # good lines, a bad line, the reader, what to compare
+    "records": ([RECORD_HEADER, "d,10,0,0,0,1.5,2", "d,10,0,1,0,0.5,2"],
+                "d,20,0,0,0,oops,2", ingest_records, lambda records: records),
+    "curve": ([cli.CURVE_HEADER, "10,0.5,0.1,3", "20,0.25,0.05,3"],
+              "30,oops,0.1,3", cli._load_curve_input,
+              lambda curve: (curve.points, curve.scale)),
+    "tabular": (["0.0,1.0,0", "1.0,0.0,1", "0.5,0.5,0"], "1.0,oops,1",
+                load_tabular,
+                lambda data: (data.inputs.tolist(), data.labels.tolist())),
+}
+
+
+class TestLineReaders:
+    """The record, curve and tabular readers skip blank, whitespace-only and
+    '#' lines alike, with LF or CRLF endings, and a ParseError counts every
+    line of the file."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_notes_are_skipped_and_counted(self, tmp_path, reader, newline):
+        good, bad, read, view = READERS[reader]
+        clean = tmp_path / "clean"
+        clean.write_text("\n".join(good) + "\n")
+        lines = [*NOTES, good[0], *NOTES, *good[1:], *NOTES]
+        noisy = tmp_path / "noisy"
+        noisy.write_bytes("".join(line + newline for line in lines).encode())
+        assert view(read(noisy)) == view(read(clean))
+        noisy.write_bytes("".join(line + newline
+                                  for line in lines + [bad]).encode())
+        with pytest.raises(ParseError) as err:
+            read(noisy)
+        assert err.value.line == len(lines) + 1 == 16

@@ -253,10 +253,6 @@ class TestSigmoidFit:
         with pytest.raises(DegenerateCurve):
             fit_sigmoid_capacity(make_curve(n, 1.0 / n))
 
-    def test_explicit_init(self):
-        model = fit_sigmoid_capacity(self.noisy_curve(), init=self.TRUTH)
-        assert model.a == pytest.approx(100.0, rel=0.05)
-
     def test_reweighting_invariance(self):
         curve = self.noisy_curve()
         scaled = EnergyCurve(curve.n, curve.u_mean, 5.0 * curve.u_stderr,

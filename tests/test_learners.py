@@ -1,5 +1,6 @@
 """Tests for data generation, the three learners, and tabular loading."""
 
+import inspect
 import math
 
 import numpy as np
@@ -23,13 +24,14 @@ from capmeter.learners import (
     k_nearest,
     knn_learner,
     load_tabular,
-    logistic_grad,
+    logistic_grad_xb,
     logistic_learner,
     logistic_log_probs,
     mlp_grad,
     mlp_init,
     mlp_learner,
     mlp_log_probs,
+    with_bias,
 )
 from capmeter.protocol import (
     Job,
@@ -345,7 +347,7 @@ class TestLogistic:
         eps = 1e-5
         for _ in range(10):
             w = rng.normal(size=(2, 4))
-            g = logistic_grad(w, x, y)
+            g = logistic_grad_xb(w, with_bias(x), y)
             fd = np.empty_like(w)
             for idx in np.ndindex(w.shape):
                 wp, wm = w.copy(), w.copy()
@@ -619,6 +621,40 @@ class TestMlpFitMany:
             with pytest.raises(TrainingFailure,
                                match=f"failed at row 0: {alone.value}"):
                 loocv_avg_energy(learner, ds)
+
+
+class TestLearnerContract:
+    """Every learner supplies ``fit_many``; ``fit`` is its one-job case."""
+
+    LEARNERS = {
+        "logistic": lambda: logistic_learner(l2=1e-3, epochs=40, lr=0.5),
+        "mlp": lambda: mlp_learner(hidden=3, epochs=4, lr_max=0.2, batch=8),
+        "knn": lambda: knn_learner(k=3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LEARNERS))
+    def test_fit_is_the_one_job_fit_many(self, name):
+        ds = gen_synthetic(SyntheticConfig(d=3, kappa=0.5, m_classes=3, seed=4), 40)
+        learner = self.LEARNERS[name]()
+        rows = np.arange(5, 30)
+        [many] = learner.fit_many(ds, [Job(25, 0, 0, 0, 7, rows, np.arange(5))])
+        one = learner.fit(ds, rows, 7)
+        assert type(one) is type(many)
+        assert (one.class_log_probs(ds.inputs).tobytes()
+                == many.class_log_probs(ds.inputs).tobytes())
+
+    def test_knn_fit_many_is_a_generator(self):
+        ds = gen_synthetic(SyntheticConfig(d=3, kappa=0.5, seed=4), 40)
+        jobs = [Job(20, 0, f, 0, 0, rows, np.array([39]))
+                for f, rows in enumerate((np.arange(20), np.arange(0)))]
+        models = knn_learner(k=3).fit_many(ds, jobs)
+        assert inspect.isgenerator(models)
+        # nothing is fitted before it is asked for: the empty second job
+        # fails only when its model is
+        next(models)
+        with pytest.raises(EmptyTrainingSet) as err:
+            next(models)
+        assert err.value.job is jobs[1]
 
 
 class TestMonotoneDataBenefit:

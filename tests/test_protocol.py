@@ -308,10 +308,6 @@ class TestAggregation:
         with pytest.raises(EmptyGroup):
             estimate_avg_energy([])
 
-    def test_missing_requested_n_raises(self):
-        with pytest.raises(EmptyGroup):
-            estimate_avg_energy([make_record(10)], expected_n=[10, 20])
-
     def test_mixed_dataset_ids_rejected(self):
         recs = [make_record(10, dataset_id="a"), make_record(10, dataset_id="b")]
         with pytest.raises(InvalidArgument):
@@ -444,8 +440,8 @@ class TestRunProtocol:
         ds = FakeDataset(np.arange(25) % 2)
         cfg = ProtocolConfig(n_grid=(10, 20), n_boots=2, k_folds=2, m_seeds=1)
         result = run_protocol(ds, MeanLearner(), cfg)
-        curve = estimate_avg_energy(result.records, expected_n=(10, 20))
-        assert len(curve) == 2
+        curve = estimate_avg_energy(result.records)
+        assert curve.n.tolist() == [10, 20]
         assert np.all(np.isfinite(curve.u_mean))
 
 

@@ -86,6 +86,8 @@ class TestSgldConfig:
             SgldConfig(step_size=0.1, n_schedule=(20, 10))
         with pytest.raises(ConfigError):
             SgldConfig(step_size=0.1, n_schedule=(0, 10))
+        with pytest.raises(ConfigError):
+            SgldConfig(step_size=0.1, n_schedule=(1, 10))
 
     def test_rejects_bad_counts(self):
         with pytest.raises(ConfigError):
