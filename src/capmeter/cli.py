@@ -190,9 +190,12 @@ def _learner_for(args):
     name = args.learner
     epochs, lr = args.epochs, args.lr
     if name == "logistic":
+        # Newton's method takes no step size, but --lr keeps its check
+        if lr is not None and not lr > 0:
+            raise InvalidArgument(
+                f"lr must be > 0, got {lr} (the logistic learner ignores it)")
         return logistic_learner(l2=args.l2,
-                                epochs=2000 if epochs is None else epochs,
-                                lr=1.0 if lr is None else lr)
+                                epochs=2000 if epochs is None else epochs)
     if name == "mlp":
         return mlp_learner(hidden=args.hidden,
                            epochs=150 if epochs is None else epochs,
@@ -343,8 +346,15 @@ def cmd_fit(args) -> int:
     if args.method in ("sigmoid", "both"):
         sigmoid_model = fit_sigmoid_capacity(curve)
         sigmoid = _sigmoid_section(sigmoid_model, curve)
+    poly_skipped = None
     if args.method in ("poly", "both"):
-        poly = _poly_section(fit_monotone_polynomial(curve), curve)
+        try:
+            poly = _poly_section(fit_monotone_polynomial(curve), curve)
+        except InsufficientPoints as exc:
+            # a curve too short for the polynomial still gets its sigmoid
+            if args.method == "poly":
+                raise
+            poly_skipped = str(exc)
 
     payload = {
         "label": label,
@@ -357,8 +367,10 @@ def cmd_fit(args) -> int:
         "params": args.params,
         "sigmoid": sigmoid,
         "poly": poly,
-        "c_over_p_percent": None,
     }
+    if poly_skipped is not None:
+        payload["poly_skipped"] = poly_skipped
+    payload["c_over_p_percent"] = None
     primary = sigmoid if sigmoid is not None else poly
     if args.params is not None:
         payload["c_over_p_percent"] = (
@@ -393,6 +405,8 @@ def cmd_fit(args) -> int:
         fields.append(("poly.capacity_stderr", poly["capacity_at_n_max"]["stderr"]))
         fields.append(("poly.residual_rms", poly["residual_rms"]))
         fields.append(("poly.constraints_active", poly["constraints_active"]))
+    if poly_skipped is not None:
+        fields.append(("poly.skipped", poly_skipped))
     if payload["c_over_p_percent"] is not None:
         fields.append(("c_over_p", f"{payload['c_over_p_percent']:.2f}%"))
 
@@ -635,9 +649,15 @@ def build_parser() -> ArgumentParser:
                      help="accepted and checked (>= 1) but changes nothing: "
                           "each sample size's fits run as one batch in one "
                           "thread")
-    run.add_argument("--l2", type=float, default=0.0)
-    run.add_argument("--epochs", type=int, default=None)
-    run.add_argument("--lr", type=float, default=None)
+    run.add_argument("--l2", type=float, default=1e-3,
+                     help="logistic ridge penalty, > 0 (default 1e-3)")
+    run.add_argument("--epochs", type=int, default=None,
+                     help="MLP training epochs (default 150), or the cap on "
+                          "the logistic learner's Newton iterations "
+                          "(default 2000)")
+    run.add_argument("--lr", type=float, default=None,
+                     help="MLP peak learning rate (default 0.1); checked "
+                          "(> 0) but ignored by the logistic learner")
     run.add_argument("--hidden", type=int, default=16)
     run.add_argument("--batch", type=int, default=64)
     run.add_argument("--k", type=int, default=10)

@@ -1,22 +1,24 @@
 """Hot numeric loops, one vectorized numpy implementation each.
 
-``logistic_gd_stack`` trains a stack of logistic fits at once, and
-``mlp_sgd_stack`` a stack of MLP fits with one training-set size; one fit
-is a stack of one job.  ``sgld_chain_diag_quad`` runs fused Langevin chains
-for diagonal quadratic energies: a small state steps each coordinate's
-recursion in Python floats, a large one all coordinates at once in numpy,
-and both loops give the same bits.  Callers reach them through this
-module's attributes (``kernels.logistic_gd_stack(...)``), so a wrapper
-bound here sees every call.
+``logistic_newton_stack`` fits a stack of logistic regressions at once by
+Newton's method, and ``mlp_sgd_stack`` trains a stack of MLP fits with one
+training-set size; one fit is a stack of one job.
+``sgld_chain_diag_quad`` runs fused Langevin chains for diagonal quadratic
+energies: a small state steps each coordinate's recursion in Python floats,
+a large one all coordinates at once in numpy, and both loops give the same
+bits.  Callers reach them through this module's attributes
+(``kernels.logistic_newton_stack(...)``), so a wrapper bound here sees
+every call.
 
-Reduction order is part of the contract: every result is bit for bit what
-numpy's own reductions give.  numpy reduces a short axis a few elements per
-call of its inner loop, so the loops here reduce the class axis with
-``class_max`` and ``class_sum``, one elementwise call per class column, and
-the batch axis with ``batch_sum``, which adds whole rows of a batch-major
-copy; both keep numpy's order of operations.  ``mlp_sgd_stack`` holds its
-parameters, velocities and gradients in one flat buffer each, so an update
-step is a handful of calls on whole buffers.
+Reduction order is part of the contract.  numpy reduces a short axis a few
+elements per call of its inner loop, so the loops here reduce the class
+axis with ``class_max`` and ``class_sum``, one elementwise call per class
+column, and the batch axis with ``batch_sum``, which adds whole rows of a
+batch-major copy; both give the bits of numpy's own reductions.  The
+logistic kernel sums each job's loss terms in row order, so that a job's
+loss does not depend on the zero rows that pad it.  ``mlp_sgd_stack`` holds
+its parameters, velocities and gradients in one flat buffer each, so an
+update step is a handful of calls on whole buffers.
 """
 
 import math
@@ -76,53 +78,127 @@ def batch_sum(a, out=None):
 
 
 # ---------------------------------------------------------------------------
-# multinomial logistic regression, full-batch gradient descent
+# multinomial logistic regression, Newton's method with a line search
 # ---------------------------------------------------------------------------
 # A stack of jobs at once: Xb is (jobs, n_max, d+1) and y is (jobs, n_max);
 # job k trains on its first n_rows[k] rows, and the rows after them must be
-# zero (their gradient terms then vanish).  Reference-class weights: job k's
-# W[k] has shape (m-1, d+1), with the class 0 logit pinned to 0.  Returns
-# per-job arrays (W, last_loss, iterations_run, bad_iteration).  Each job
-# stops on its own, at grad_tol or at a non-finite loss; bad_iteration >= 0
-# is the iteration where its loss went non-finite.
+# zero (their gradient and Hessian terms then vanish).  Reference-class
+# weights: job k's W[k] has shape (m-1, d+1), with the class 0 logit pinned
+# to 0.  The objective, the mean NLL plus (l2/2)|W|^2, is strongly convex
+# for l2 > 0.  Each iteration forms the gradient G of every running job,
+# drops the jobs that have stopped from the stack, forms the others' block
+# Hessians Xb^T (diag P - P P^T) Xb / n + l2 I, of size (m-1)(d+1), solves
+# them in one batched np.linalg.solve, and halves each job's step (at most
+# _HALVINGS times) until its Armijo test holds.  The probabilities of the
+# accepted trial give the next gradient, so an iteration costs one logit
+# product per trial.
+#
+# Each job stops on its own: when max|G| < grad_tol at its current W, after
+# `iterations` Newton steps, or when its Hessian or step is non-finite or no
+# trial of its line search has a finite loss that passes.  Returns per-job
+# arrays (W, loss, iterations_run, bad_iteration): loss is taken at the
+# returned W, iterations_run counts the steps taken, and bad_iteration >= 0
+# is the iteration where the job failed.
+#
+# The Armijo test compares losses a few ulps apart near the optimum, so a
+# job's loss must not depend on its padding: its row terms are summed in
+# order (a cumulative sum read at its last row), which zero rows cannot
+# change.  Where a step's predicted decrease -G.step lies within rounding of
+# the loss, the test says nothing and the full step is taken.
+_ARMIJO = 1e-4
+_HALVINGS = 30
+_TINY_DECREASE = 64 * np.finfo(np.float64).eps
 
-def logistic_gd_stack(Xb, y, n_rows, n_classes, l2, lr, epochs, grad_tol):
+
+def _logistic_trial(Xb, W, onehot, last, count, l2):
+    """Class 1..m-1 probabilities and each job's penalised loss at W."""
+    Z = Xb @ W.transpose(0, 2, 1)
+    zy = class_sum(Z * onehot)
+    mx = np.maximum(class_max(Z), 0.0)
+    Z -= mx
+    E = np.exp(Z, out=Z)
+    S = np.exp(-mx)
+    S += class_sum(E)
+    terms = np.log(S)
+    terms += mx
+    terms -= zy
+    data = np.cumsum(terms[..., 0], axis=1)[np.arange(last.size), last]
+    E /= S
+    penalty = np.sum((W * W).reshape(W.shape[0], -1), axis=1)
+    return E, data / count + 0.5 * l2 * penalty
+
+
+def logistic_newton_stack(Xb, y, n_rows, n_classes, l2, iterations, grad_tol):
     jobs, n, d1 = Xb.shape
     kk = n_classes - 1
-    W = np.zeros((jobs, kk, d1))
-    real = np.arange(n) < n_rows[:, None]
+    p = kk * d1
+    onehot = (y[..., None] == np.arange(1, n_classes)).astype(np.float64)
+    last = n_rows - 1
     count = n_rows.astype(np.float64)
-    onehot = np.zeros((jobs, n, kk))
-    pos = y > 0
-    onehot[np.nonzero(pos) + (y[pos] - 1,)] = 1.0
-    # flat position of each row's own-class logit in Z
-    label = np.arange(jobs * n) * kk + np.maximum(y - 1, 0).ravel()
-    loss = np.zeros(jobs)
-    it = np.zeros(jobs, dtype=np.int64)
-    bad = np.full(jobs, -1, dtype=np.int64)
-    active = np.ones(jobs, dtype=bool)
-    for epoch in range(epochs):
-        Z = Xb @ W.transpose(0, 2, 1)
-        mx = np.maximum(class_max(Z), 0.0)
-        E = np.exp(Z - mx)
-        S = np.exp(-mx) + class_sum(E)
-        zy = np.where(pos, Z.take(label).reshape(jobs, n), 0.0)
-        terms = (np.log(S[..., 0]) + mx[..., 0] - zy) * real
-        step_loss = terms.sum(axis=1) / count + 0.5 * l2 * np.sum(W * W, axis=(1, 2))
-        loss = np.where(active, step_loss, loss)
-        finite = np.isfinite(step_loss)
-        bad[active & ~finite] = epoch
-        active &= finite
-        if not active.any():
+    W_out = np.zeros((jobs, kk, d1))
+    loss_out = np.zeros(jobs)
+    it_out = np.full(jobs, iterations, dtype=np.int64)
+    bad_out = np.full(jobs, -1, dtype=np.int64)
+    live = np.arange(jobs)
+    W = np.zeros((jobs, kk, d1))
+    P, loss = _logistic_trial(Xb, W, onehot, last, count, l2)
+    failed = np.zeros(jobs, dtype=bool)
+    for t in range(iterations + 1):
+        G = (P - onehot).transpose(0, 2, 1) @ Xb
+        G /= count[:, None, None]
+        G += l2 * W
+        done = np.abs(G).reshape(live.size, p).max(axis=1) < grad_tol
+        stop = done | failed
+        if stop.any():
+            W_out[live[stop]], loss_out[live[stop]] = W[stop], loss[stop]
+            it_out[live[done & ~failed]] = t
+            keep = ~stop
+            live = live[keep]
+            if live.size == 0:
+                return W_out, loss_out, it_out, bad_out
+            Xb, onehot, last, count = Xb[keep], onehot[keep], last[keep], count[keep]
+            W, P, loss, G = W[keep], P[keep], loss[keep], G[keep]
+        if t == iterations:
             break
-        P = E / S
-        G = (P - onehot).transpose(0, 2, 1) @ Xb / count[:, None, None] + l2 * W
-        it[active] = epoch + 1
-        active &= ~(np.abs(G).max(axis=(1, 2)) < grad_tol)
-        np.subtract(W, lr * G, out=W, where=active[:, None, None])
-        if not active.any():
-            break
-    return W, loss, it, bad
+        k = live.size
+        # block (a, b) is Xb^T diag(P_a (delta_ab - P_b)) Xb: one product
+        # for all blocks, with rows (a, b, i) and columns j
+        w = P[..., :, None] * -P[..., None, :]
+        w.reshape(k, n, kk * kk)[..., ::kk + 1] += P
+        Q = (w[..., None] * Xb[:, :, None, None, :]).reshape(k, n, kk * p)
+        H = (Q.transpose(0, 2, 1) @ Xb).reshape(k, kk, kk, d1, d1)
+        H = H.transpose(0, 1, 3, 2, 4).reshape(k, p, p)
+        H /= count[:, None, None]
+        H.reshape(k, p * p)[:, ::p + 1] += l2
+        ok = np.isfinite(H).reshape(k, p * p).all(axis=1)
+        if not ok.all():
+            H[~ok] = np.eye(p)
+        step = np.linalg.solve(H, -G.reshape(k, p, 1)).reshape(k, kk, d1)
+        slope = np.sum((G * step).reshape(k, p), axis=1)
+        ok &= np.isfinite(slope)
+        full = np.abs(slope) <= _TINY_DECREASE * np.abs(loss)
+        pend = ok.copy()
+        if not pend.all():
+            step[~pend] = 0.0
+        scale = np.ones(k)
+        for _ in range(_HALVINGS):
+            if not pend.any():
+                break
+            trial = W + scale[:, None, None] * step
+            P_t, f_t = _logistic_trial(Xb, trial, onehot, last, count, l2)
+            took = pend & np.isfinite(f_t) & (
+                full | (f_t <= loss + _ARMIJO * scale * slope))
+            if took.all():
+                W, P, loss = trial, P_t, f_t
+                pend = ~took
+                break
+            W[took], P[took], loss[took] = trial[took], P_t[took], f_t[took]
+            pend &= ~took
+            scale[pend] *= 0.5
+        failed = ~ok | pend
+        it_out[live[failed]] = bad_out[live[failed]] = t
+    W_out[live], loss_out[live] = W, loss
+    return W_out, loss_out, it_out, bad_out
 
 
 # ---------------------------------------------------------------------------

@@ -444,18 +444,18 @@ class LogisticLearner(Learner):
     GRAD_TOL = 1e-7
     USES_SEED = False
 
-    def __init__(self, l2, epochs, lr):
+    def __init__(self, l2, epochs):
         self.l2 = l2
         self.epochs = epochs
-        self.lr = lr
 
     def fit_many(self, dataset: Dataset, jobs) -> list:
-        """One model per job, in job order, from one stacked descent.
+        """One model per job, in job order, from one stacked Newton solve.
 
         The jobs' training sets may differ in size: each is padded to the
-        longest with zero rows, which add nothing to its gradient, so a job
-        trains as it would alone.  A training failure is raised for the
-        first job, in order, that fails, with that job as its ``job``.
+        longest with zero rows, which add nothing to its gradient, Hessian
+        or loss, so a job trains as it would alone.  A training failure is
+        raised for the first job, in order, that fails, with that job as its
+        ``job``.
         """
         _check_jobs(dataset, jobs, "logistic")
         sizes = np.array([job.train_rows.size for job in jobs])
@@ -465,29 +465,32 @@ class LogisticLearner(Learner):
         xb = with_bias(dataset.inputs)[rows]
         xb[~real] = 0.0
         y = np.where(real, dataset.labels[rows], 0)
-        w, _, iters, bad = kernels.logistic_gd_stack(
-            xb, y, sizes, dataset.m_classes, self.l2, self.lr, self.epochs,
+        w, _, iters, bad = kernels.logistic_newton_stack(
+            xb, y, sizes, dataset.m_classes, self.l2, self.epochs,
             self.GRAD_TOL)
         _check_finite(jobs, bad, "iteration")
         return [LogisticModel(w[k], dataset.m_classes, int(iters[k]))
                 for k in range(len(jobs))]
 
 
-def logistic_learner(l2: float = 0.0, epochs: int = 2000,
-                     lr: float = 1.0) -> LogisticLearner:
-    """Multinomial logistic regression by full-batch gradient descent.
+def logistic_learner(l2: float = 1e-3, epochs: int = 2000) -> LogisticLearner:
+    """Multinomial logistic regression, fitted by Newton's method to the
+    minimum of the mean NLL plus (l2/2)|w|^2.
 
     Reference-class parameterization: (m-1)(d+1) weights including biases;
-    the ridge penalty l2 applies to all of them.  Training is
-    deterministic (zero init), so the seed argument is ignored
+    the ridge penalty l2 applies to all of them and must be > 0, which makes
+    the objective strongly convex (at l2 = 0 separable training rows have
+    no finite optimum).  ``epochs`` caps the Newton iterations; a fit stops
+    earlier once every gradient entry is below ``GRAD_TOL`` in size.
+    Training is deterministic (zero init), so the seed argument is ignored
     (``USES_SEED`` is False) and the protocol trains jobs that differ only
     in the seed once.
     """
-    if l2 < 0:
-        raise InvalidArgument(f"l2 must be >= 0, got {l2}")
-    if epochs < 1 or lr <= 0:
-        raise InvalidArgument("epochs must be >= 1 and lr > 0")
-    return LogisticLearner(l2, epochs, lr)
+    if not 0 < l2 < np.inf:
+        raise InvalidArgument(f"l2 must be finite and > 0, got {l2}")
+    if epochs < 1:
+        raise InvalidArgument(f"epochs must be >= 1, got {epochs}")
+    return LogisticLearner(l2, epochs)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ over its fold and the fold size.  Records aggregate into an
 
 Jobs are trained one sample size at a time, in plan order.  Every learner
 trains and scores all of one N's jobs in a single ``score_many`` call (the
-logistic learner stacks them into one batched gradient descent; the MLP
+logistic learner stacks them into one batched Newton solve; the MLP
 learner splits them by training-set size, which differs by one between
 folds, and trains each part as one stacked minibatch SGD; the k-NN fits and
 scores one job at a time).  A learner whose fit ignores the seed
@@ -282,11 +282,11 @@ def run_protocol(dataset, learner, config: ProtocolConfig,
     """Plan, train, and collect records for the whole grid.
 
     The jobs of each sample size are trained and scored together by the
-    learner's ``score_many``: in one stack for the logistic learner, in one
-    stack per training-set size for the MLP, one job at a time for the
-    k-NN, and each distinct job once for a learner that ignores the seed
-    (see the module docstring).  Records come out in plan order, one per
-    job, all computed in the calling thread.
+    learner's ``score_many``: in one batched Newton solve for the logistic
+    learner, in one stack per training-set size for the MLP, one job at a
+    time for the k-NN, and each distinct job once for a learner that
+    ignores the seed (see the module docstring).  Records come out in plan
+    order, one per job, all computed in the calling thread.
     """
     jobs = plan_experiment(config, dataset.n_rows)
     results = []

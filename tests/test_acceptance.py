@@ -101,7 +101,7 @@ def logistic_pipeline():
                             k_folds=5, m_seeds=3)
     data = gen_synthetic(SyntheticConfig(d=20, kappa=0.0, teacher_hidden=2,
                                          m_classes=2, seed=2), max(grid))
-    learner = logistic_learner(l2=1e-3, epochs=1000, lr=1.0)
+    learner = logistic_learner(l2=1e-3, epochs=1000)
     result = run_protocol(data, learner, config, dataset_id="logistic-check")
     curve = estimate_avg_energy(result.records)
     model = fit_sigmoid_capacity(curve)

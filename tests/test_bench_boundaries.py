@@ -103,7 +103,7 @@ def test_kernels_are_called_through_the_module(monkeypatch):
     # A caller that binds a kernel by name (``from .kernels import ...``)
     # bypasses a wrapper bound on the module, as a tracer binds one.
     calls = {}
-    for name in ("logistic_gd_stack", "mlp_sgd_stack", "sgld_chain_diag_quad"):
+    for name in ("logistic_newton_stack", "mlp_sgd_stack", "sgld_chain_diag_quad"):
         def counted(*args, _name=name, _kernel=getattr(kernels, name)):
             calls[_name] = calls.get(_name, 0) + 1
             return _kernel(*args)
@@ -116,7 +116,7 @@ def test_kernels_are_called_through_the_module(monkeypatch):
     config = SgldConfig(step_size=0.01, n_schedule=(2,), chains=1,
                         equilibration_epochs=1, samples_per_window=2, seed=0)
     run_incremental_protocol(QuadraticEnergy([1.0]), RowCount(3), config)
-    assert calls == {"logistic_gd_stack": 1, "mlp_sgd_stack": 1,
+    assert calls == {"logistic_newton_stack": 1, "mlp_sgd_stack": 1,
                      "sgld_chain_diag_quad": 1}
 
 

@@ -165,6 +165,16 @@ class TestRun:
         assert "error: InvalidArgument" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("l2", ["0", "-0.001"])
+    def test_non_positive_l2_exits_2(self, tmp_path, capsys, l2):
+        out = tmp_path / "r.csv"
+        code = cli.main(["run", "--learner", "logistic", "--synthetic", "d=2",
+                         "--n-grid", "5,10", "--l2", l2, "--out", str(out)])
+        assert code == 2
+        assert "error: InvalidArgument: l2 must be finite and > 0" in (
+            capsys.readouterr().err)
+        assert not out.exists()
+
     def test_tabular_data_digest_in_manifest(self, tmp_path):
         rng = np.random.default_rng(0)
         x = rng.normal(size=(60, 2))
@@ -343,6 +353,33 @@ class TestFit:
                          "--out", str(tmp_path / "f")])
         assert code == 4
         assert "DegenerateCurve" in capsys.readouterr().err
+
+    def test_short_curve_gets_the_sigmoid_and_skips_the_poly(self, tmp_path,
+                                                              capsys):
+        # 8 points: enough for the sigmoid, one short of the degree-7 poly
+        records = tmp_path / "knn.csv"
+        assert cli.main(["run", "--learner", "knn",
+                         "--synthetic", "d=5,kappa=1,seed=3",
+                         "--n-grid", "30:300:8log", "--boots", "2",
+                         "--out", str(records)]) == 0
+        out = tmp_path / "both"
+        code = cli.main(["fit", str(records), "--method", "both", "--plot",
+                         "--out", str(out)])
+        assert code == 0
+        reason = "need at least 9 points for degree 7, got 8"
+        payload = json.loads((tmp_path / "both.json").read_text())
+        assert payload["poly"] is None
+        assert payload["poly_skipped"] == reason
+        assert payload["sigmoid"]["capacity_at_n_max"]["value"] > 0.0
+        text = (tmp_path / "both.txt").read_text()
+        assert f"poly.skipped {reason}" in text.splitlines()
+        assert (tmp_path / "both.svg").exists()
+        capsys.readouterr()
+        code = cli.main(["fit", str(records), "--method", "poly",
+                         "--out", str(tmp_path / "poly")])
+        assert code == 4
+        assert f"InsufficientPoints: {reason}" in capsys.readouterr().err
+        assert not (tmp_path / "poly.txt").exists()
 
     def test_constraint_violating_solution_exits_4(self, tmp_path, capsys,
                                                    monkeypatch):

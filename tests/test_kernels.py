@@ -1,8 +1,9 @@
-"""Tests for the numpy kernels: semantics, and agreement with scalar loops.
+"""Tests for the numpy kernels: semantics, and agreement with references.
 
-The two training kernels are checked against plain-Python scalar loops
-below, which spell out the same arithmetic one element at a time.  They
-sum in a different order, so the comparison holds to rounding.
+The MLP kernel is checked against a plain-Python scalar loop, which spells
+out the same arithmetic one element at a time, and the logistic Newton
+kernel against a one-job numpy reference that forms its Hessian row by row.
+Both sum in a different order, so the comparisons hold to rounding.
 """
 
 import json
@@ -19,65 +20,57 @@ import pytest
 import capmeter
 from capmeter import kernels
 from capmeter.errors import InvalidArgument
+from capmeter.learners import LogisticLearner
 
 # ---------------------------------------------------------------------------
 # scalar reference implementations
 # ---------------------------------------------------------------------------
 
-def _reference_logistic_gd(Xb, y, n_classes, l2, lr, epochs, grad_tol):
+def _logistic_objective(Xb, y, n_classes, l2, W):
+    """One job's class 1..m-1 probabilities, its mean NLL plus
+    (l2/2)|W|^2, and that objective's gradient, at W."""
+    n = Xb.shape[0]
+    logits = np.concatenate([np.zeros((n, 1)), Xb @ W.T], axis=1)
+    top = logits.max(axis=1)
+    lse = top + np.log(np.exp(logits - top[:, None]).sum(axis=1))
+    P = np.exp(logits - lse[:, None])[:, 1:]
+    loss = math.fsum(lse - logits[np.arange(n), y]) / n + 0.5 * l2 * np.sum(W * W)
+    G = (P - np.eye(n_classes)[y][:, 1:]).T @ Xb / n + l2 * W
+    return P, loss, G
+
+
+def _reference_logistic_newton(Xb, y, n_classes, l2, iterations, grad_tol):
+    """One job of the Newton kernel, spelled out: the Hessian as a sum of
+    per-row Kronecker products, the line search one trial at a time."""
     n, d1 = Xb.shape
     kk = n_classes - 1
     W = np.zeros((kk, d1))
-    G = np.empty((kk, d1))
-    logits = np.empty(kk)
-    loss = 0.0
-    it = 0
-    for epoch in range(epochs):
-        for a in range(kk):
-            for b in range(d1):
-                G[a, b] = 0.0
-        data_loss = 0.0
+    P, loss, G = _logistic_objective(Xb, y, n_classes, l2, W)
+    for t in range(iterations + 1):
+        if np.abs(G).max() < grad_tol or t == iterations:
+            return W, loss, t, -1
+        H = l2 * np.eye(kk * d1)
         for i in range(n):
-            mx = 0.0
-            for a in range(kk):
-                z = 0.0
-                for b in range(d1):
-                    z += W[a, b] * Xb[i, b]
-                logits[a] = z
-                if z > mx:
-                    mx = z
-            s = np.exp(-mx)
-            for a in range(kk):
-                s += np.exp(logits[a] - mx)
-            zy = 0.0 if y[i] == 0 else logits[y[i] - 1]
-            data_loss += np.log(s) + mx - zy
-            for a in range(kk):
-                p = np.exp(logits[a] - mx) / s
-                if y[i] == a + 1:
-                    p -= 1.0
-                for b in range(d1):
-                    G[a, b] += p * Xb[i, b]
-        pen = 0.0
-        for a in range(kk):
-            for b in range(d1):
-                G[a, b] = G[a, b] / n + l2 * W[a, b]
-                pen += W[a, b] * W[a, b]
-        loss = data_loss / n + 0.5 * l2 * pen
-        if not np.isfinite(loss):
-            return W, loss, it, epoch
-        gmax = 0.0
-        for a in range(kk):
-            for b in range(d1):
-                ga = abs(G[a, b])
-                if ga > gmax:
-                    gmax = ga
-        it = epoch + 1
-        if gmax < grad_tol:
-            break
-        for a in range(kk):
-            for b in range(d1):
-                W[a, b] -= lr * G[a, b]
-    return W, loss, it, -1
+            D = np.diag(P[i]) - np.outer(P[i], P[i])
+            H += np.kron(D, np.outer(Xb[i], Xb[i])) / n
+        if not np.all(np.isfinite(H)):
+            return W, loss, t, t
+        step = np.linalg.solve(H, -G.ravel()).reshape(kk, d1)
+        slope = float(G.ravel() @ step.ravel())
+        if not np.isfinite(slope):
+            return W, loss, t, t
+        scale = 1.0
+        for _ in range(kernels._HALVINGS):
+            trial = W + scale * step
+            P_t, loss_t, G_t = _logistic_objective(Xb, y, n_classes, l2, trial)
+            if np.isfinite(loss_t) and (
+                    abs(slope) <= kernels._TINY_DECREASE * abs(loss)
+                    or loss_t <= loss + kernels._ARMIJO * scale * slope):
+                break
+            scale *= 0.5
+        else:
+            return W, loss, t, t
+        W, P, loss, G = trial, P_t, loss_t, G_t
 
 
 def _reference_mlp_sgd(X, y, W1, b1, W2, b2, perms, lr_max, momentum, batch):
@@ -171,7 +164,7 @@ def _reference_mlp_sgd(X, y, W1, b1, W2, b2, perms, lr_max, momentum, batch):
 
 def logistic_alone(Xb, y, *args):
     """One fit as a stack of one job: (W, loss, iterations, bad_iteration)."""
-    W, loss, it, bad = kernels.logistic_gd_stack(
+    W, loss, it, bad = kernels.logistic_newton_stack(
         Xb[None], y[None], np.array([Xb.shape[0]]), *args)
     return W[0], float(loss[0]), int(it[0]), int(bad[0])
 
@@ -389,35 +382,57 @@ class TestSgldChainLoops:
                                          np.empty(out_shape))
 
 
+GRAD_TOL = LogisticLearner.GRAD_TOL
+
+
 class TestLogisticKernel:
     def test_variants_agree_to_rounding(self):
         Xb, y, m = logistic_problem()
-        args = (m, 0.01, 0.5, 40, 0.0)
+        args = (m, 0.01, 40, GRAD_TOL)
         W_np, loss_np, it_np, bad_np = logistic_alone(Xb, y, *args)
-        W_ref, loss_ref, it_ref, bad_ref = _reference_logistic_gd(Xb, y, *args)
-        assert (it_np, bad_np) == (it_ref, bad_ref) == (40, -1)
+        W_ref, loss_ref, it_ref, bad_ref = _reference_logistic_newton(Xb, y, *args)
+        assert (it_np, bad_np) == (it_ref, bad_ref)
+        assert 0 < it_np < 40 and bad_np == -1
         np.testing.assert_allclose(W_ref, W_np, rtol=1e-7, atol=1e-9)
         assert loss_ref == pytest.approx(loss_np, rel=1e-9)
 
     def test_deterministic(self):
         Xb, y, m = logistic_problem(seed=2)
-        first = logistic_alone(Xb, y, m, 0.0, 1.0, 30, 0.0)
-        second = logistic_alone(Xb, y, m, 0.0, 1.0, 30, 0.0)
+        first = logistic_alone(Xb, y, m, 1e-3, 30, 0.0)
+        second = logistic_alone(Xb, y, m, 1e-3, 30, 0.0)
         assert np.array_equal(first[0], second[0])
         assert first[1] == second[1]
 
     def test_gradient_tolerance_stops_before_updating(self):
         Xb, y, m = logistic_problem(seed=3)
-        W, _, it, bad = logistic_alone(Xb, y, m, 0.0, 1.0, 50, 1e9)
-        assert it == 1
+        W, _, it, bad = logistic_alone(Xb, y, m, 1e-3, 50, 1e9)
+        assert it == 0
         assert bad == -1
         assert np.all(W == 0.0)
 
     def test_loss_decreases(self):
         Xb, y, m = logistic_problem(seed=4)
-        _, short_loss, _, _ = logistic_alone(Xb, y, m, 0.0, 0.5, 5, 0.0)
-        _, long_loss, _, _ = logistic_alone(Xb, y, m, 0.0, 0.5, 80, 0.0)
-        assert long_loss < short_loss
+        _, short_loss, _, _ = logistic_alone(Xb, y, m, 1e-3, 1, 0.0)
+        _, long_loss, _, _ = logistic_alone(Xb, y, m, 1e-3, 10, 0.0)
+        assert long_loss < short_loss < math.log(m)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_converged_fit_is_the_penalised_optimum(self, m):
+        optimize = pytest.importorskip("scipy.optimize")
+        Xb, y, _ = logistic_problem(seed=5, n=60, d=4, m=m)
+        l2 = 1e-2
+        W, loss, it, bad = logistic_alone(Xb, y, m, l2, 50, GRAD_TOL)
+        assert 0 < it < 50 and bad == -1
+        def f(flat):
+            _, value, grad = _logistic_objective(Xb, y, m, l2, flat.reshape(W.shape))
+            return value, grad.ravel()
+
+        assert np.abs(f(W.ravel())[1]).max() < GRAD_TOL
+        best = optimize.minimize(f, np.zeros(W.size), jac=True, method="BFGS",
+                                 options={"gtol": 1e-12, "maxiter": 10_000})
+        np.testing.assert_allclose(W.ravel(), best.x, rtol=1e-6,
+                                   atol=1e-6 * np.abs(best.x).max())
+        assert loss == pytest.approx(best.fun, rel=1e-12)
 
 
 def padded_stack(problems):
@@ -433,27 +448,24 @@ def padded_stack(problems):
 
 
 class TestLogisticStack:
-    """Each job of the stacked descent against the scalar reference.
+    """Each job of the stacked Newton solve against the one-job reference.
 
     Padding and the per-job reductions change the summation order, so
     weights agree to rtol 1e-7 (atol 1e-9) and losses to rel 1e-9, the
-    tolerances of TestLogisticKernel; iteration counts and failure epochs
-    agree exactly.
+    tolerances of TestLogisticKernel; iteration counts and failure
+    iterations agree exactly.
     """
 
-    def check_jobs(self, problems, m, l2, lr, epochs, grad_tol):
+    def check_jobs(self, problems, m, l2, iterations, grad_tol):
         Xs, ys, n_rows = padded_stack(problems)
-        W, loss, it, bad = kernels.logistic_gd_stack(Xs, ys, n_rows, m, l2, lr,
-                                                     epochs, grad_tol)
+        W, loss, it, bad = kernels.logistic_newton_stack(
+            Xs, ys, n_rows, m, l2, iterations, grad_tol)
         for k, (Xb, y) in enumerate(problems):
-            W_ref, loss_ref, it_ref, bad_ref = _reference_logistic_gd(
-                Xb, y, m, l2, lr, epochs, grad_tol)
+            W_ref, loss_ref, it_ref, bad_ref = _reference_logistic_newton(
+                Xb, y, m, l2, iterations, grad_tol)
             assert (it[k], bad[k]) == (it_ref, bad_ref)
             np.testing.assert_allclose(W[k], W_ref, rtol=1e-7, atol=1e-9)
-            if np.isfinite(loss_ref):
-                assert loss[k] == pytest.approx(loss_ref, rel=1e-9)
-            else:
-                assert not np.isfinite(loss[k])
+            assert loss[k] == pytest.approx(loss_ref, rel=1e-9)
         return it, bad
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -461,27 +473,54 @@ class TestLogisticStack:
         # fold train sizes n and n - 1, as the protocol plans them
         problems = [logistic_problem(seed=s, n=n, m=m)[:2]
                     for s, n in ((0, 40), (1, 39), (2, 40), (3, 39))]
-        it, bad = self.check_jobs(problems, m, 0.01, 0.5, 30, 0.0)
-        assert list(it) == [30] * 4 and list(bad) == [-1] * 4
+        it, bad = self.check_jobs(problems, m, 0.01, 30, GRAD_TOL)
+        assert max(it) < 30 and list(bad) == [-1] * 4
 
     def test_jobs_stop_at_grad_tol_on_their_own(self):
         problems = [logistic_problem(seed=s, n=n)[:2]
                     for s, n in ((5, 30), (6, 29), (7, 12))]
-        args = (3, 0.5, 0.5, 200, 1e-4)
+        args = (3, 1e-3, 50, GRAD_TOL)
         it, bad = self.check_jobs(problems, *args)
-        assert len(set(it.tolist())) > 1 and max(it) < 200
+        assert len(set(it.tolist())) > 1 and max(it) < 50
         for k, (Xb, y) in enumerate(problems):
             assert it[k] == logistic_alone(Xb, y, *args)[2]
 
     def test_non_finite_job_stops_alone(self):
-        # huge inputs overflow the logits once the first step has moved W
+        # huge inputs overflow the Hessian at the first iteration
         good = logistic_problem(seed=8, n=20)[:2]
         Xb, y = logistic_problem(seed=9, n=19)[:2]
-        problems = [good, (Xb * 1e200, y), good]
+        wild = (Xb * 1e200, y)
         with np.errstate(all="ignore"):
-            it, bad = self.check_jobs(problems, 3, 0.0, 1.0, 10, 0.0)
-        assert list(bad) == [-1, 1, -1]
-        assert list(it) == [10, 1, 10]
+            it, bad = self.check_jobs([good, wild, good], 3, 1e-3, 10, GRAD_TOL)
+            alone = logistic_alone(*wild, 3, 1e-3, 10, GRAD_TOL)
+        assert list(bad) == [-1, 0, -1]
+        assert (alone[2], alone[3]) == (0, 0)
+        assert it[0] == it[2] < 10
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_ragged_stacks_count_as_alone(self, seed):
+        # the line search reads each job's loss a few ulps apart near the
+        # optimum; padding must not move a job's iteration count
+        rng = np.random.default_rng(100 + seed)
+        m = int(rng.integers(2, 4))
+        d = int(rng.integers(1, 7))
+        l2 = 10.0 ** rng.uniform(-4, -1)
+        scale = 10.0 ** rng.uniform(-1, 2)
+        sizes = rng.integers(3, 70, size=int(rng.integers(2, 7)))
+        problems = []
+        for k, n in enumerate(sizes):
+            Xb, y, _ = logistic_problem(seed=1000 * seed + k, n=int(n), d=d, m=m)
+            Xb[:, :-1] *= scale
+            problems.append((Xb, y))
+        Xs, ys, n_rows = padded_stack(problems)
+        W, loss, it, bad = kernels.logistic_newton_stack(
+            Xs, ys, n_rows, m, l2, 100, GRAD_TOL)
+        assert list(bad) == [-1] * len(problems) and max(it) < 100
+        for k, (Xb, y) in enumerate(problems):
+            W_k, loss_k, it_k, bad_k = logistic_alone(Xb, y, m, l2, 100, GRAD_TOL)
+            assert (it[k], bad[k]) == (it_k, bad_k)
+            np.testing.assert_allclose(W[k], W_k, rtol=1e-7, atol=1e-9)
+            assert loss[k] == pytest.approx(loss_k, rel=1e-9)
 
 
 class TestMlpKernel:

@@ -327,14 +327,14 @@ class TestLogistic:
 
     def test_separable_reaches_full_accuracy(self):
         ds = self.separable()
-        model = logistic_learner(l2=0.0, epochs=500, lr=1.0).fit(
+        model = logistic_learner(l2=1e-3, epochs=500).fit(
             ds, np.arange(50), 0)
         pred = np.argmax(model.class_log_probs(ds.inputs), axis=1)
         assert np.array_equal(pred, ds.labels)
 
     def test_huge_l2_collapses_to_uniform(self):
         ds = self.separable()
-        model = logistic_learner(l2=1e6, epochs=200, lr=1e-6).fit(
+        model = logistic_learner(l2=1e6, epochs=200).fit(
             ds, np.arange(50), 0)
         assert np.max(np.abs(model.weights)) <= 1e-3
         lp = model.class_log_probs(ds.inputs[:5])
@@ -360,32 +360,40 @@ class TestLogistic:
 
     def test_deterministic_across_seeds(self):
         ds = self.separable()
-        learner = logistic_learner(l2=0.01, epochs=50, lr=0.5)
+        learner = logistic_learner(l2=0.01, epochs=50)
         a = learner.fit(ds, np.arange(50), 0)
         b = learner.fit(ds, np.arange(50), 7)
         assert np.array_equal(a.weights, b.weights)
 
     def test_normalization(self):
         ds = self.separable()
-        model = logistic_learner(epochs=20, lr=0.5).fit(ds, np.arange(50), 0)
+        model = logistic_learner(epochs=20).fit(ds, np.arange(50), 0)
         probs = np.exp(model.class_log_probs(ds.inputs))
         assert np.allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
     def test_non_finite_loss_reports_iteration(self):
         ds = Dataset(np.array([[1e200], [-1e200]]), [0, 1], 2)
         with pytest.warns(RuntimeWarning), pytest.raises(NonFiniteLoss) as err:
-            logistic_learner(l2=0.0, epochs=10, lr=1e10).fit(ds, np.arange(2), 0)
-        assert err.value.iteration >= 0
+            logistic_learner(l2=1e-3, epochs=10).fit(ds, np.arange(2), 0)
+        # the first Hessian overflows, before any step
+        assert err.value.iteration == 0
+
+    @pytest.mark.parametrize("l2", [0.0, -1e-3, math.nan, math.inf])
+    def test_l2_must_be_positive_and_finite(self, l2):
+        # at l2 = 0 separable rows have no finite optimum and a Hessian
+        # below d + 1 rows is singular
+        with pytest.raises(InvalidArgument, match="l2 must be finite and > 0"):
+            logistic_learner(l2=l2)
 
     def test_early_stop_on_small_gradient(self):
         ds = self.separable()
-        model = logistic_learner(l2=0.5, epochs=5000, lr=1.0).fit(
+        model = logistic_learner(l2=0.5, epochs=5000).fit(
             ds, np.arange(50), 0)
         assert model.iterations < 5000
 
     def test_param_count(self):
         ds = gen_synthetic(SyntheticConfig(d=20, seed=0), 100)
-        model = logistic_learner(epochs=2, lr=0.1).fit(ds, np.arange(100), 0)
+        model = logistic_learner(epochs=2).fit(ds, np.arange(100), 0)
         assert model.n_params == (2 - 1) * (20 + 1)
 
     def test_empty_rows_rejected(self):
@@ -498,7 +506,7 @@ class TestLogisticFitMany:
 
     def test_matches_fit_per_job(self):
         ds = gen_synthetic(SyntheticConfig(d=4, kappa=0.5, m_classes=3, seed=4), 60)
-        learner = logistic_learner(l2=1e-3, epochs=60, lr=0.5)
+        learner = logistic_learner(l2=1e-3, epochs=60)
         jobs = plan_experiment(ProtocolConfig(n_grid=(23,), n_boots=2, k_folds=5,
                                               m_seeds=1), 60)
         assert {job.train_rows.size for job in jobs} == {18, 19}
@@ -512,7 +520,7 @@ class TestLogisticFitMany:
     def test_protocol_records_match_fit_per_job(self):
         ds = gen_synthetic(SyntheticConfig(d=5, kappa=0.0, teacher_hidden=2,
                                            seed=2), 80)
-        learner = logistic_learner(l2=1e-3, epochs=40, lr=1.0)
+        learner = logistic_learner(l2=1e-3, epochs=40)
         cfg = ProtocolConfig(n_grid=(20, 33, 80), n_boots=2, k_folds=5,
                              m_seeds=2, master_seed=1)
         grouped = run_protocol(ds, learner, cfg).records
@@ -532,7 +540,7 @@ class TestLogisticFitMany:
         x = np.vstack([np.random.default_rng(3).normal(size=(30, 2)),
                        [[1e200, 0.0]]])
         ds = Dataset(x, np.arange(31) % 2, 2)
-        learner = logistic_learner(l2=0.0, epochs=10, lr=1.0)
+        learner = logistic_learner(l2=1e-3, epochs=10)
         tame, wild = np.arange(20), np.append(np.arange(19), 30)
         jobs = [Job(31, 0, f, 0, 0, rows, np.array([25]))
                 for f, rows in enumerate((tame, wild, wild[::-1]))]
@@ -545,9 +553,28 @@ class TestLogisticFitMany:
         assert grouped.value.iteration == alone.value.iteration
         assert grouped.value.job is jobs[1]
 
+    def test_readme_study_fits_converge(self):
+        # the README study's data at the sample sizes of its grid: every
+        # fit reaches the gradient tolerance well before the cap
+        ds = gen_synthetic(SyntheticConfig(d=20, kappa=0.0, teacher_hidden=2,
+                                           seed=2), 2000)
+        learner = logistic_learner(l2=1e-3, epochs=50)
+        cfg = ProtocolConfig(n_grid=(60, 150, 600, 2000), n_boots=2,
+                             k_folds=5, m_seeds=1, master_seed=3)
+        jobs = plan_experiment(cfg, ds.n_rows)
+        for n in cfg.n_grid:
+            group = [job for job in jobs if job.sample_size == n]
+            for job, model in zip(group, learner.fit_many(ds, group)):
+                rows = job.train_rows
+                grad = (logistic_grad_xb(model.weights, with_bias(ds.inputs[rows]),
+                                         ds.labels[rows])
+                        + learner.l2 * model.weights)
+                assert model.iterations < 20
+                assert np.abs(grad).max() < learner.GRAD_TOL
+
     def test_loocv_matches_fit_per_row(self):
         ds = gen_synthetic(SyntheticConfig(d=3, kappa=0.0, seed=6), 15)
-        learner = logistic_learner(l2=1e-2, epochs=80, lr=0.5)
+        learner = logistic_learner(l2=1e-2, epochs=80)
         total = 0.0
         for i in range(ds.n_rows):
             model = learner.fit(ds, np.delete(np.arange(ds.n_rows), i), 0)
@@ -598,6 +625,25 @@ class TestMlpFitMany:
         assert grouped.value.iteration == alone.value.iteration
         assert grouped.value.job is jobs[1]
 
+    def test_readme_study_fits_converge(self):
+        # the README study's data at the sample sizes of its grid: every
+        # fit reaches the gradient tolerance well before the cap
+        ds = gen_synthetic(SyntheticConfig(d=20, kappa=0.0, teacher_hidden=2,
+                                           seed=2), 2000)
+        learner = logistic_learner(l2=1e-3, epochs=50)
+        cfg = ProtocolConfig(n_grid=(60, 150, 600, 2000), n_boots=2,
+                             k_folds=5, m_seeds=1, master_seed=3)
+        jobs = plan_experiment(cfg, ds.n_rows)
+        for n in cfg.n_grid:
+            group = [job for job in jobs if job.sample_size == n]
+            for job, model in zip(group, learner.fit_many(ds, group)):
+                rows = job.train_rows
+                grad = (logistic_grad_xb(model.weights, with_bias(ds.inputs[rows]),
+                                         ds.labels[rows])
+                        + learner.l2 * model.weights)
+                assert model.iterations < 20
+                assert np.abs(grad).max() < learner.GRAD_TOL
+
     def test_loocv_matches_fit_per_row(self):
         ds = gen_synthetic(SyntheticConfig(d=3, kappa=0.0, seed=6), 15)
         learner = mlp_learner(hidden=4, epochs=10, lr_max=0.2, batch=4)
@@ -627,7 +673,7 @@ class TestLearnerContract:
     """Every learner supplies ``fit_many``; ``fit`` is its one-job case."""
 
     LEARNERS = {
-        "logistic": lambda: logistic_learner(l2=1e-3, epochs=40, lr=0.5),
+        "logistic": lambda: logistic_learner(l2=1e-3, epochs=40),
         "mlp": lambda: mlp_learner(hidden=3, epochs=4, lr_max=0.2, batch=8),
         "knn": lambda: knn_learner(k=3),
     }
@@ -661,7 +707,7 @@ class TestMonotoneDataBenefit:
     def test_logistic_energy_non_increasing_within_error(self):
         cfg = SyntheticConfig(d=4, kappa=1.0, seed=2)
         ds = gen_synthetic(cfg, 400)
-        learner = logistic_learner(l2=1e-3, epochs=300, lr=1.0)
+        learner = logistic_learner(l2=1e-3, epochs=300)
         proto = ProtocolConfig(n_grid=(30, 80, 200), n_boots=3, k_folds=3,
                                m_seeds=2, master_seed=0)
         result = run_protocol(ds, learner, proto)

@@ -416,7 +416,7 @@ class TestRunProtocol:
         assert grouped.clamp_events == events
 
     @pytest.mark.parametrize("learner", [
-        logistic_learner(l2=1e-3, epochs=30, lr=0.5),
+        logistic_learner(l2=1e-3, epochs=30),
         knn_learner(k=4, alpha=0.5),
     ], ids=["logistic", "knn"])
     def test_seed_free_records_match_per_job_fits_bitwise(self, learner):
