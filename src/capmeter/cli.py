@@ -8,6 +8,7 @@ chain failures, 4 estimator divergence.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -54,7 +55,6 @@ from .learners import (
 )
 from .oracle import (
     HessianSpectrum,
-    PriorKind,
     load_spectrum,
     pacbayes_bound,
     pacbayes_effective_dim,
@@ -143,8 +143,10 @@ def _parse_ints(text: str):
         raise ConfigError(f"expected a comma list of integers, got {text!r}")
 
 
-_SYNTHETIC_KEYS = {"d": int, "kappa": float, "m": int, "hidden": int,
-                   "seed": int}
+# synthetic spec key -> (SyntheticConfig keyword, type)
+_SYNTHETIC_KEYS = {"d": ("d", int), "kappa": ("kappa", float),
+                   "m": ("m_classes", int), "hidden": ("teacher_hidden", int),
+                   "seed": ("seed", int)}
 
 
 def _synthetic_dataset(spec_text: str, rows: int):
@@ -156,16 +158,13 @@ def _synthetic_dataset(spec_text: str, rows: int):
         raise ConfigError("synthetic spec needs d=<dim>")
     values = {}
     for key, text in spec.items():
-        kind = _SYNTHETIC_KEYS[key]
+        keyword, kind = _SYNTHETIC_KEYS[key]
         try:
-            values[key] = kind(text)
+            values[keyword] = kind(text)
         except ValueError:
             raise ConfigError(f"synthetic key {key} needs {kind.__name__}, "
                               f"got {text!r}") from None
-    config = SyntheticConfig(d=values["d"], kappa=values.get("kappa", 0.0),
-                             teacher_hidden=values.get("hidden", 1000),
-                             m_classes=values.get("m", 2),
-                             seed=values.get("seed", 0))
+    config = SyntheticConfig(**values)
     dataset = gen_synthetic(config, rows)
     label = (f"synthetic-d{config.d}-kappa{config.kappa:g}-m{config.m_classes}"
              f"-seed{config.seed}")
@@ -186,23 +185,56 @@ def _dataset_for(args, rows: int):
     raise ConfigError("select a data source with --synthetic or --data")
 
 
-def _learner_for(args):
-    name = args.learner
-    epochs, lr = args.epochs, args.lr
-    if name == "logistic":
-        # Newton's method takes no step size, but --lr keeps its check
-        if lr is not None and not lr > 0:
-            raise InvalidArgument(
-                f"lr must be > 0, got {lr} (the logistic learner ignores it)")
-        return logistic_learner(l2=args.l2,
-                                epochs=2000 if epochs is None else epochs)
-    if name == "mlp":
-        return mlp_learner(hidden=args.hidden,
-                           epochs=150 if epochs is None else epochs,
-                           lr_max=0.1 if lr is None else lr, batch=args.batch)
-    if name == "knn":
-        return knn_learner(k=args.k, alpha=args.alpha, sigma=args.sigma)
-    raise ConfigError(f"unknown learner {name!r}")
+# Each flag that a library object reads, as its parser destination, and the
+# keyword it sets there, by subcommand: "config" is the ProtocolConfig or
+# SgldConfig, the other keys name a --learner's learner or energy
+# (--synthetic and --data, keyword None, give it its dataset).  A flag is
+# passed on only when given, so the object's own default applies otherwise.
+_READERS = {
+    "run": {
+        "config": {"boots": "n_boots", "folds": "k_folds", "seeds": "m_seeds",
+                   "seed": "master_seed"},
+        "logistic": {"l2": "l2", "epochs": "epochs"},
+        "mlp": {"hidden": "hidden", "epochs": "epochs", "lr": "lr_max",
+                "batch": "batch"},
+        "knn": {"k": "k", "alpha": "alpha", "sigma": "sigma"},
+    },
+    "sgld": {
+        "config": {"chains": "chains", "equil": "equilibration_epochs",
+                   "samples": "samples_per_window", "batch": "batch_size",
+                   "prior_eps": "prior_eps", "seed": "seed"},
+        "quadratic": {"lambda": "eigenvalues"},
+        "logistic": {"synthetic": None, "data": None},
+        "mlp": {"synthetic": None, "data": None, "hidden": "hidden"},
+    },
+}
+HIDDEN = 16  # the MLP width of `run` and `sgld`; the library has no default
+_LEARNERS = {"logistic": logistic_learner, "mlp": mlp_learner,
+             "knn": knn_learner}
+
+
+def _settings(args, command: str) -> list:
+    """The given flags of the config and of the learner or energy, each as
+    a keyword dict; a given flag that neither reads draws one warning."""
+    readers, given = _READERS[command], vars(args)
+    read = {**readers["config"], **readers[args.learner]}
+    for dest in dict.fromkeys(d for reader in readers.values() for d in reader):
+        if given[dest] is not None and dest not in read:
+            print(f"warning: the {args.learner} learner does not read "
+                  f"--{dest.replace('_', '-')}; ignored", file=sys.stderr)
+    return [{keyword: given[dest] for dest, keyword in readers[name].items()
+             if keyword and given[dest] is not None}
+            for name in ("config", args.learner)]
+
+
+def _resolved(args, command: str, config, model, **extra) -> dict:
+    """The settings that ran, under library names and with defaults: the
+    fields of ``config`` and the keywords of ``model`` that flags set."""
+    settings = dict(dataclasses.asdict(config), learner=args.learner, **extra)
+    settings.update((keyword, getattr(model, keyword)) for keyword
+                    in _READERS[command][args.learner].values() if keyword)
+    return {key: ",".join(map(str, np.ravel(value).tolist()))
+            if np.ndim(value) else value for key, value in settings.items()}
 
 
 def _config_echo(args) -> dict:
@@ -269,18 +301,23 @@ def _load_curve_input(path) -> EnergyCurve:
 # ---------------------------------------------------------------------------
 
 def cmd_run(args) -> int:
-    grid = parse_grid(args.n_grid)
-    config = ProtocolConfig(n_grid=grid, master_seed=args.seed,
-                            n_boots=args.boots, k_folds=args.folds,
-                            m_seeds=args.seeds)
     if args.jobs is not None and args.jobs < 1:
         raise ConfigError(f"jobs must be >= 1, got {args.jobs}")
+    config_args, learner_args = _settings(args, "run")
+    config = ProtocolConfig(n_grid=parse_grid(args.n_grid), **config_args)
+    if args.learner == "logistic" and args.lr is not None and not args.lr > 0:
+        # Newton's method takes no step size, but --lr keeps its check
+        raise InvalidArgument(
+            f"lr must be > 0, got {args.lr} (the logistic learner ignores it)")
+    if args.learner == "mlp":
+        learner_args.setdefault("hidden", HIDDEN)
+    learner = _LEARNERS[args.learner](**learner_args)
     dataset, label, inputs = _dataset_for(args, max(config.n_grid))
-    learner = _learner_for(args)
     result = run_protocol(dataset, learner, config, dataset_id=label)
     curve = estimate_avg_energy(result.records)
-    manifest = report.build_manifest(args._argv, _config_echo(args), args.seed,
-                                     inputs)
+    manifest = report.build_manifest(
+        args._argv, _resolved(args, "run", config, learner),
+        config.master_seed, inputs)
     comments = report.manifest_lines(manifest)
     comments.append(f"clamp_events = {result.clamp_events}")
     write_records(args.out, result.records, comments=comments)
@@ -573,37 +610,33 @@ def cmd_sgld(args) -> int:
         raise ConfigError(
             f"--heldout-rows must be >= 1, got {args.heldout_rows}")
     schedule = _parse_ints(args.schedule)
-    config = SgldConfig(step_size=args.step, n_schedule=schedule,
-                        chains=args.chains, equilibration_epochs=args.equil,
-                        samples_per_window=args.samples, batch_size=args.batch,
-                        prior=PriorKind(args.prior), prior_eps=args.prior_eps,
-                        seed=args.seed)
+    config_args, energy_args = _settings(args, "sgld")
+    config = SgldConfig(step_size=args.step, n_schedule=schedule, **config_args)
     rows = max(schedule) + args.heldout_rows
     if args.learner == "quadratic":
-        if args.lambdas is None:
+        if "eigenvalues" not in energy_args:
             raise ConfigError("quadratic energy needs --lambda")
-        energy = QuadraticEnergy(_parse_floats(args.lambdas))
-        dataset = RowCount(rows)
-        label, inputs = f"quadratic-p{energy.dim}", ()
+        energy = QuadraticEnergy(_parse_floats(energy_args["eigenvalues"]))
+        dataset, label, inputs = RowCount(rows), f"quadratic-p{energy.dim}", ()
     else:
         dataset, label, inputs = _dataset_for(args, rows)
-        if args.learner == "logistic":
-            energy = LogisticEnergy(dataset)
-        else:
-            energy = MlpEnergy(dataset, hidden=args.hidden)
+        energy = (LogisticEnergy(dataset) if args.learner == "logistic" else
+                  MlpEnergy(dataset, hidden=energy_args.get("hidden", HIDDEN)))
 
     result = run_incremental_protocol(energy, dataset, config, dataset_id=label)
     for failure in result.failures:
         print(f"warning: chain {failure.chain} failed at N={failure.sample_size}: "
               f"{failure.detail}", file=sys.stderr)
 
-    manifest = report.build_manifest(args._argv, _config_echo(args), args.seed,
-                                     inputs)
+    manifest = report.build_manifest(
+        args._argv, _resolved(args, "sgld", config, energy,
+                              heldout_rows=args.heldout_rows),
+        config.seed, inputs)
     comments = report.manifest_lines(manifest)
-    comments.append("scale=probability-complement")
+    comments.append(f"scale={result.curve.scale}")
     write_records(args.out, result.records, comments=comments)
 
-    fields = [("label", label), ("scale", "probability-complement"),
+    fields = [("label", label), ("scale", result.curve.scale),
               ("schedule", ",".join(str(n) for n in schedule)),
               ("surviving_chains", config.chains - len(result.failures))]
     for n, u, se, _ in result.curve.points:
@@ -641,28 +674,22 @@ def build_parser() -> ArgumentParser:
                      choices=["logistic", "mlp", "knn"])
     run.add_argument("--n-grid", required=True,
                      help="lo:hi:Klog or comma list")
-    run.add_argument("--boots", type=int, default=4)
-    run.add_argument("--folds", type=int, default=5)
-    run.add_argument("--seeds", type=int, default=5)
-    run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--jobs", type=int, default=None,
-                     help="accepted and checked (>= 1) but changes nothing: "
-                          "each sample size's fits run as one batch in one "
-                          "thread")
-    run.add_argument("--l2", type=float, default=1e-3,
-                     help="logistic ridge penalty, > 0 (default 1e-3)")
-    run.add_argument("--epochs", type=int, default=None,
-                     help="MLP training epochs (default 150), or the cap on "
-                          "the logistic learner's Newton iterations "
-                          "(default 2000)")
-    run.add_argument("--lr", type=float, default=None,
-                     help="MLP peak learning rate (default 0.1); checked "
-                          "(> 0) but ignored by the logistic learner")
-    run.add_argument("--hidden", type=int, default=16)
-    run.add_argument("--batch", type=int, default=64)
-    run.add_argument("--k", type=int, default=10)
-    run.add_argument("--alpha", type=float, default=1.0)
-    run.add_argument("--sigma", type=float, default=1.0)
+    run.add_argument("--boots", type=int, help="bootstrap resamples per N")
+    run.add_argument("--folds", type=int, help="cross-validation folds")
+    run.add_argument("--seeds", type=int, help="training seeds per resample")
+    run.add_argument("--seed", type=int, help="master seed")
+    run.add_argument("--jobs", type=int,
+                     help="accepted and checked (>= 1) but changes nothing")
+    run.add_argument("--l2", type=float, help="logistic ridge penalty, > 0")
+    run.add_argument("--epochs", type=int, help="MLP training epochs, or the "
+                     "cap on the logistic learner's Newton iterations")
+    run.add_argument("--lr", type=float, help="MLP peak learning rate; "
+                     "checked (> 0) but not read by the logistic learner")
+    run.add_argument("--hidden", type=int, help="MLP hidden width")
+    run.add_argument("--batch", type=int, help="MLP minibatch size")
+    run.add_argument("--k", type=int, help="k-NN neighbour count")
+    run.add_argument("--alpha", type=float, help="k-NN count smoothing")
+    run.add_argument("--sigma", type=float, help="k-NN regression noise scale")
     run.add_argument("--out", required=True)
     run.set_defaults(func=cmd_run)
 
@@ -699,27 +726,28 @@ def build_parser() -> ArgumentParser:
     compare.add_argument("--out", default="compare")
     compare.set_defaults(func=cmd_compare)
 
-    sgld = subs.add_parser("sgld", help="Langevin incremental protocol")
+    # whole flag names only, so no prefix such as --prior sets --prior-eps
+    sgld = subs.add_parser("sgld", help="Langevin incremental protocol",
+                           allow_abbrev=False)
     _add_data_flags(sgld)
     sgld.add_argument("--learner", required=True,
                       help="quadratic, logistic, or mlp")
     sgld.add_argument("--schedule", required=True,
                       help="comma list of sample sizes")
     sgld.add_argument("--step", type=float, required=True)
-    sgld.add_argument("--chains", type=int, default=10)
-    sgld.add_argument("--equil", type=int, default=20,
+    sgld.add_argument("--chains", type=int, help="Langevin chains")
+    sgld.add_argument("--equil", type=int,
                       help="equilibration epochs per window")
-    sgld.add_argument("--samples", type=int, default=10,
-                      help="samples per window")
-    sgld.add_argument("--batch", type=int, default=64)
-    sgld.add_argument("--prior", choices=["gaussian", "uniform"],
-                      default="gaussian")
-    sgld.add_argument("--prior-eps", type=float, default=1.0)
-    sgld.add_argument("--lambda", dest="lambdas", default=None,
-                      help="quadratic energy eigenvalues")
-    sgld.add_argument("--hidden", type=int, default=16)
-    sgld.add_argument("--heldout-rows", type=int, default=256)
-    sgld.add_argument("--seed", type=int, default=0)
+    sgld.add_argument("--samples", type=int, help="samples per window")
+    sgld.add_argument("--batch", type=int, help="minibatch size")
+    sgld.add_argument("--prior-eps", type=float,
+                      help="Gaussian prior precision; 0 is the flat prior")
+    sgld.add_argument("--lambda",
+                      help="quadratic energy eigenvalues, comma separated")
+    sgld.add_argument("--hidden", type=int, help="MLP energy hidden width")
+    sgld.add_argument("--heldout-rows", type=int, default=256,
+                      help="rows held out past the schedule for the readout")
+    sgld.add_argument("--seed", type=int, help="master seed")
     sgld.add_argument("--out", required=True)
     sgld.set_defaults(func=cmd_sgld)
     return parser

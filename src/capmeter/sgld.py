@@ -46,8 +46,7 @@ from .learners import (
     mlp_log_probs,
     with_bias,
 )
-from .oracle import PriorKind
-from .protocol import EnergyCurve, EnergyRecord, derive_rng
+from .protocol import EnergyCurve, EnergyRecord, derive_rng, estimate_avg_energy
 
 __all__ = [
     "SgldConfig",
@@ -65,7 +64,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SgldConfig:
-    """Settings for a Langevin run over a growing sample-size schedule."""
+    """Settings for a Langevin run over a growing sample-size schedule; the
+    Gaussian prior pulls by ``prior_eps * w``, and 0 is the flat prior."""
 
     step_size: float
     n_schedule: tuple
@@ -73,7 +73,6 @@ class SgldConfig:
     equilibration_epochs: int = 20
     samples_per_window: int = 10
     batch_size: int = 64
-    prior: PriorKind = PriorKind.GAUSSIAN
     prior_eps: float = 1.0
     seed: int = 0
 
@@ -98,8 +97,6 @@ class SgldConfig:
                 f"samples_per_window must be >= 1, got {self.samples_per_window}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not isinstance(self.prior, PriorKind):
-            raise ConfigError(f"prior must be a PriorKind, got {self.prior!r}")
         if not (math.isfinite(self.prior_eps) and self.prior_eps >= 0):
             raise ConfigError(f"prior_eps must be >= 0, got {self.prior_eps}")
         if self.seed < 0:
@@ -299,15 +296,15 @@ class MlpEnergy(_ClassifierEnergy):
 
 
 def sgld_step(weights, energy: DifferentiableEnergy, rows, sample_size: int,
-              prior: PriorKind, step_size: float, rng: np.random.Generator,
-              prior_eps: float = 1.0) -> np.ndarray:
+              step_size: float, rng: np.random.Generator,
+              prior_eps: float) -> np.ndarray:
     """One Langevin update of the chain state.
 
     Drifts half a step down the gradient of ``sample_size * mean-loss``
-    over the given rows (plus the Gaussian prior's pull ``prior_eps * w``
-    when applicable) and adds noise of variance ``step_size`` per
-    coordinate.  Raises NonFiniteState if the update leaves the finite
-    domain.
+    over the given rows plus the Gaussian prior's pull ``prior_eps * w``
+    (none at ``prior_eps = 0``, the flat prior) and adds noise of variance
+    ``step_size`` per coordinate.  Raises NonFiniteState if the update
+    leaves the finite domain.
     """
     w = np.asarray(weights, dtype=np.float64)
     rows = np.asarray(rows, dtype=np.int64)
@@ -315,9 +312,7 @@ def sgld_step(weights, energy: DifferentiableEnergy, rows, sample_size: int,
         raise InvalidArgument("sgld_step needs at least one row")
     if not (math.isfinite(step_size) and step_size > 0):
         raise InvalidArgument(f"step_size must be positive, got {step_size}")
-    g = sample_size * energy.gradient(w, rows)
-    if prior is PriorKind.GAUSSIAN:
-        g = g + prior_eps * w
+    g = sample_size * energy.gradient(w, rows) + prior_eps * w
     new = w - 0.5 * step_size * g + math.sqrt(step_size) * rng.standard_normal(w.size)
     if not np.all(np.isfinite(new)):
         raise NonFiniteState(_NON_FINITE)
@@ -388,7 +383,7 @@ def _window_stack(energy, w, pools, sample_size, config, noise_rngs,
     batch = config.batch_size
     starts = range(0, size, batch)
     half, scale = 0.5 * config.step_size, math.sqrt(config.step_size)
-    eps = config.prior_eps if config.prior is PriorKind.GAUSSIAN else None
+    eps = config.prior_eps
     live = np.arange(chains)
     kept = np.zeros(chains, dtype=bool)
     final = np.empty_like(w)
@@ -402,9 +397,8 @@ def _window_stack(energy, w, pools, sample_size, config, noise_rngs,
         noise = np.stack([noise_rngs[c].standard_normal((len(starts), w.shape[1]))
                           for c in live], axis=1)
         for step, start in enumerate(starts):
-            g = sample_size * energy.gradient(w, order[:, start:start + batch])
-            if eps is not None:
-                g = g + eps * w
+            g = (sample_size * energy.gradient(w, order[:, start:start + batch])
+                 + eps * w)
             w = w - half * g + scale * noise[step]
             finite = np.isfinite(w).all(axis=1)
             if not finite.all():
@@ -436,13 +430,12 @@ def _window_quadratic(energy, w, sample_size, config, noise_rngs):
     """
     m = config.samples_per_window
     steps = config.equilibration_epochs + m
-    eps_eff = config.prior_eps if config.prior is PriorKind.GAUSSIAN else 0.0
     noise = np.empty((steps,) + w.shape)
     for i, rng in enumerate(noise_rngs):
         noise[:, i] = rng.standard_normal((steps, w.shape[1]))
     samples = np.empty((m,) + w.shape)
     w = kernels.sgld_chain_diag_quad(
-        w, energy.eigenvalues, eps_eff, float(sample_size),
+        w, energy.eigenvalues, config.prior_eps, float(sample_size),
         0.5 * config.step_size, math.sqrt(config.step_size), noise, samples)
     kept = np.isfinite(samples).all(axis=0).all(axis=1) & np.isfinite(w).all(axis=1)
     return w, samples, kept
@@ -458,7 +451,10 @@ def run_incremental_protocol(energy: DifferentiableEnergy, dataset,
     temperature follows the nominal sample size.  Rows past
     ``max(n_schedule)`` form the held-out pool for the energy readout.  A
     chain whose state leaves the finite domain is dropped; the run
-    continues while at least half the chains survive.
+    continues while at least half the chains survive.  The curve is
+    ``estimate_avg_energy`` of the records.  A quadratic step scales each
+    coordinate by ``1 - h*k/2``, ``k = N*lambda + prior_eps``, which leaves
+    (-1, 1) once ``h*k >= 4``: ConfigError, before any sampling.
     """
     schedule = config.n_schedule
     k = config.chains
@@ -473,6 +469,14 @@ def run_incremental_protocol(energy: DifferentiableEnergy, dataset,
     if heldout.size == 0:
         raise EmptyHeldout(
             "no rows left beyond the schedule for the held-out readout")
+    if isinstance(energy, QuadraticEnergy):
+        lam_max = float(energy.eigenvalues.max())
+        hk = config.step_size * (schedule[-1] * lam_max + config.prior_eps)
+        if hk >= 4.0:
+            raise ConfigError(
+                f"step {config.step_size} is unstable at N={schedule[-1]}, "
+                f"lambda_max={lam_max}: h*(N*lambda_max + prior_eps) = {hk} "
+                "must be < 4")
 
     states = np.zeros((k, energy.dim))
     noise_rngs = [derive_rng(config.seed, c, 0) for c in range(k)]
@@ -480,13 +484,10 @@ def run_incremental_protocol(energy: DifferentiableEnergy, dataset,
     alive = np.ones(k, dtype=bool)
     failures = []
 
-    u_mean = np.empty(len(schedule))
-    u_stderr = np.empty(len(schedule))
-    record_count = np.empty(len(schedule), dtype=np.int64)
     records = []
     window_energies = []
     m = config.samples_per_window
-    for j, n in enumerate(schedule):
+    for n in schedule:
         pools = [np.arange(c, n, k) for c in range(k)]
         samples = np.empty((k, m, energy.dim))
         ok = alive.copy()
@@ -515,7 +516,6 @@ def run_incremental_protocol(energy: DifferentiableEnergy, dataset,
         scored = energy.heldout_means(samples[done].reshape(-1, energy.dim),
                                       heldout)
         energies = dict(zip(done, scored.reshape(done.size, m)))
-        chain_means = []
         for c in np.flatnonzero(alive):
             if not ok[c]:
                 alive[c] = False
@@ -523,7 +523,6 @@ def run_incremental_protocol(energy: DifferentiableEnergy, dataset,
                                              detail=_NON_FINITE))
                 continue
             e = energies[c]
-            chain_means.append(float(e.mean()))
             records.append(EnergyRecord(
                 dataset_id=dataset_id, sample_size=int(n), boot_index=int(c),
                 fold_index=0, seed_index=0,
@@ -534,19 +533,12 @@ def run_incremental_protocol(energy: DifferentiableEnergy, dataset,
             raise NonFiniteState(
                 f"only {survivors} of {k} chains survived to sample size {n}: "
                 + "; ".join(f"chain {f.chain} at N={f.sample_size}" for f in failures))
-        means = np.asarray(chain_means)
-        u_mean[j] = means.mean()
-        u_stderr[j] = (means.std(ddof=1) / math.sqrt(means.size)
-                       if means.size > 1 else 0.0)
-        record_count[j] = means.size
         window_energies.append(scored)
 
     capacities = tuple(
         _capacity_from_window_energies(window_energies[j], window_energies[j + 1],
                                        schedule[j], schedule[j + 1] - schedule[j])
         for j in range(len(schedule) - 1))
-    curve = EnergyCurve(n=np.asarray(schedule, dtype=np.float64), u_mean=u_mean,
-                        u_stderr=u_stderr, record_count=record_count,
-                        scale="probability-complement")
+    curve = estimate_avg_energy(records, scale="probability-complement")
     return SgldResult(curve=curve, capacities=capacities,
                       records=tuple(records), failures=tuple(failures))

@@ -139,8 +139,7 @@ def langevin_run():
     """Incremental Langevin protocol on the two-dimensional unit quadratic."""
     config = SgldConfig(step_size=0.002, n_schedule=(5, 10, 20, 40), chains=5,
                         equilibration_epochs=3000, samples_per_window=100000,
-                        batch_size=64, prior=PriorKind.GAUSSIAN, prior_eps=1.0,
-                        seed=20)
+                        batch_size=64, prior_eps=1.0, seed=20)
     energy = QuadraticEnergy((1.0, 1.0))
     start = time.perf_counter()
     result = run_incremental_protocol(energy, RowCount(41), config,

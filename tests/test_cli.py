@@ -15,11 +15,24 @@ import pytest
 from scipy import integrate
 
 import capmeter.estimators
+import capmeter.sgld
 from capmeter import cli
 from capmeter.errors import ConfigError, InvariantViolation, ParseError
-from capmeter.learners import load_tabular
+from capmeter.learners import (
+    SyntheticConfig,
+    gen_synthetic,
+    knn_learner,
+    load_tabular,
+    logistic_learner,
+)
 from capmeter.oracle import HessianSpectrum, pacbayes_bound, save_spectrum
-from capmeter.protocol import RECORD_HEADER, EnergyRecord, ingest_records
+from capmeter.protocol import (
+    RECORD_HEADER,
+    EnergyRecord,
+    ProtocolConfig,
+    ingest_records,
+    run_protocol,
+)
 
 
 def truth_energy(a, b, c, u_inf, n):
@@ -58,7 +71,7 @@ RUN_ARGV = ["run", "--learner", "logistic", "--synthetic", "d=2,kappa=0,seed=1",
 
 SGLD_ARGV = ["sgld", "--learner", "quadratic", "--lambda", "1,0.5",
              "--schedule", "4,8,16,32,64,128,256,512,1024,2048",
-             "--step", "0.002", "--chains", "3", "--equil", "50",
+             "--step", "0.001", "--chains", "3", "--equil", "50",
              "--samples", "400", "--seed", "4", "--heldout-rows", "1"]
 
 
@@ -674,12 +687,160 @@ class TestSgld:
 
     def test_majority_chain_failure_exits_3(self, tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
-            code = cli.main(["sgld", "--learner", "quadratic", "--lambda", "1",
-                             "--schedule", "5,10", "--step", "1e8",
-                             "--chains", "2", "--equil", "40", "--samples", "5",
-                             "--seed", "0", "--out", str(tmp_path / "s")])
+            code = cli.main(["sgld", "--learner", "logistic",
+                             "--synthetic", "d=2,seed=1", "--schedule", "8,16",
+                             "--step", "1e8", "--chains", "2", "--equil", "60",
+                             "--samples", "3", "--seed", "0",
+                             "--out", str(tmp_path / "s")])
         assert code == 3
         assert "NonFiniteState" in capsys.readouterr().err
+
+    def test_unstable_quadratic_step_exits_2_before_sampling(
+            self, tmp_path, capsys, monkeypatch):
+        # at step 0.002 the N=2048 window's factor 1 - h*k/2 is -1.049, so
+        # unguarded the state grows, the readout saturates and the command
+        # prints C(1024) = -1022.27 +/- 0.05 with exit 0
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        monkeypatch.setattr(capmeter.sgld, "_window_quadratic", no_sampling)
+        monkeypatch.setattr(capmeter.sgld, "_window_stack", no_sampling)
+        argv = [("0.002" if a == "0.001" else a) for a in SGLD_ARGV]
+        code = cli.main(argv + ["--out", str(tmp_path / "s")])
+        assert code == 2
+        assert ("error: ConfigError: step 0.002 is unstable at N=2048, "
+                "lambda_max=1.0: h*(N*lambda_max + prior_eps) = ") in (
+                    capsys.readouterr().err)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_capacities_curve_is_the_fit_curve_of_its_records(self, tmp_path):
+        # with 3 held-out rows a chain's mean of 1 - p and its record's
+        # nll_sum / heldout_count can differ in the last bit; the .capacities
+        # curve must be the records' curve, as fit reads it
+        out = tmp_path / "s"
+        assert cli.main(["sgld", "--learner", "logistic",
+                         "--synthetic", "d=5,hidden=2,seed=2",
+                         "--schedule", "64,128,256", "--step", "1e-3",
+                         "--chains", "4", "--equil", "5", "--samples", "9",
+                         "--heldout-rows", "3", "--seed", "1",
+                         "--out", str(out)]) == 0
+        fields = dict(line.split(" ", 1) for line in
+                      data_lines((tmp_path / "s.capacities").read_text()))
+        curve = cli._load_curve_input(str(out))  # the curve fit reads
+        for n, u, se, _ in curve.points:
+            assert float(fields[f"u@{n}"]) == u
+            assert float(fields[f"u_stderr@{n}"]) == se
+
+
+# every flag whose setting a library object owns, by subcommand
+LIBRARY_FLAGS = {
+    "run": ["--boots", "--folds", "--seeds", "--seed", "--l2", "--epochs",
+            "--hidden", "--lr", "--batch", "--k", "--alpha", "--sigma"],
+    "sgld": ["--chains", "--equil", "--samples", "--batch", "--prior-eps",
+             "--seed", "--hidden", "--lambda", "--synthetic", "--data"],
+}
+REQUIRED_ONLY = {
+    "run": ["run", "--learner", "logistic", "--n-grid", "10,20", "--out", "r"],
+    "sgld": ["sgld", "--learner", "quadratic", "--schedule", "4,8",
+             "--step", "0.01", "--out", "s"],
+}
+SMALL_RUN = ["run", "--synthetic", "d=2,seed=1", "--n-grid", "10,20",
+             "--boots", "1", "--folds", "2", "--seeds", "1"]
+SMALL_SGLD = ["sgld", "--schedule", "4,8", "--step", "0.01", "--chains", "2",
+              "--equil", "1", "--samples", "2", "--heldout-rows", "4"]
+RUN_SETTINGS = {"k_folds": "2", "m_seeds": "1", "master_seed": "0",
+                "n_boots": "1", "n_grid": "10,20"}
+SGLD_SETTINGS = {"batch_size": "64", "chains": "2", "equilibration_epochs": "1",
+                 "heldout_rows": "4", "n_schedule": "4,8", "prior_eps": "1.0",
+                 "samples_per_window": "2", "seed": "0", "step_size": "0.01"}
+
+
+def manifest_config(path):
+    """The ``config`` manifest line of an output file, as a dict."""
+    prefix = "# manifest: config = "
+    [line] = [ln for ln in path.read_text().splitlines()
+              if ln.startswith(prefix)]
+    return dict(item.split("=", 1) for item in line[len(prefix):].split(" "))
+
+
+class TestSettings:
+    """Each setting has one owner: the library object that reads it."""
+
+    @pytest.mark.parametrize("command", sorted(LIBRARY_FLAGS))
+    def test_library_owned_flags_have_no_parser_default(self, command):
+        args = cli.build_parser().parse_args(REQUIRED_ONLY[command])
+        for flag in LIBRARY_FLAGS[command]:
+            assert getattr(args, flag[2:].replace("-", "_")) is None, flag
+        assert ({"--" + dest.replace("_", "-")
+                 for reader in cli._READERS[command].values()
+                 for dest in reader} == set(LIBRARY_FLAGS[command]))
+
+    @pytest.mark.parametrize("learner, make", [("logistic", logistic_learner),
+                                               ("knn", knn_learner)])
+    def test_bare_run_is_the_library_default(self, tmp_path, learner, make):
+        out = tmp_path / "r"
+        assert cli.main(["run", "--learner", learner,
+                         "--synthetic", "d=2,seed=1", "--n-grid", "10,20",
+                         "--out", str(out)]) == 0
+        result = run_protocol(gen_synthetic(SyntheticConfig(d=2, seed=1), 20),
+                              make(), ProtocolConfig(n_grid=(10, 20)),
+                              dataset_id="synthetic-d2-kappa0-m2-seed1")
+        assert ingest_records(out) == list(result.records)
+
+    @pytest.mark.parametrize("argv, settings", [
+        (SMALL_RUN + ["--learner", "logistic", "--jobs", "1"],
+         dict(RUN_SETTINGS, learner="logistic", l2="0.001", epochs="2000")),
+        (SMALL_RUN + ["--learner", "mlp", "--epochs", "2"],
+         dict(RUN_SETTINGS, learner="mlp", hidden="16", epochs="2",
+              lr_max="0.1", batch="64")),
+        (SMALL_RUN + ["--learner", "knn", "--k", "3"],
+         dict(RUN_SETTINGS, learner="knn", k="3", alpha="1.0", sigma="1.0")),
+        (SMALL_SGLD + ["--learner", "quadratic", "--lambda", "1,0.5"],
+         dict(SGLD_SETTINGS, learner="quadratic", eigenvalues="1.0,0.5")),
+        (SMALL_SGLD + ["--learner", "logistic", "--synthetic", "d=2",
+                       "--prior-eps", "0"],
+         dict(SGLD_SETTINGS, learner="logistic", prior_eps="0.0")),
+        (SMALL_SGLD + ["--learner", "mlp", "--synthetic", "d=2"],
+         dict(SGLD_SETTINGS, learner="mlp", hidden="16")),
+    ], ids=["run-logistic", "run-mlp", "run-knn", "sgld-quadratic",
+            "sgld-logistic", "sgld-mlp"])
+    def test_manifest_holds_the_settings_that_ran(self, tmp_path, capsys,
+                                                  argv, settings):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert "warning:" not in capsys.readouterr().err
+        assert manifest_config(out) == settings
+        companion = "out.curve" if argv[0] == "run" else "out.capacities"
+        assert manifest_config(tmp_path / companion) == settings
+
+    @pytest.mark.parametrize("argv, learner, flag, key", [
+        (SMALL_RUN + ["--learner", "mlp", "--epochs", "2", "--l2", "5"],
+         "mlp", "--l2", "l2"),
+        (SMALL_RUN + ["--learner", "knn", "--epochs", "3"],
+         "knn", "--epochs", "epochs"),
+        (SMALL_SGLD + ["--learner", "quadratic", "--lambda", "1",
+                       "--synthetic", "d=2"],
+         "quadratic", "--synthetic", "synthetic"),
+        (SMALL_SGLD + ["--learner", "logistic", "--synthetic", "d=2",
+                       "--lambda", "1"],
+         "logistic", "--lambda", "eigenvalues"),
+    ], ids=["mlp-l2", "knn-epochs", "quadratic-synthetic", "logistic-lambda"])
+    def test_unread_flag_is_warned_and_left_out(self, tmp_path, capsys,
+                                                argv, learner, flag, key):
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        warnings = [ln for ln in capsys.readouterr().err.splitlines()
+                    if ln.startswith("warning:")]
+        assert warnings == [
+            f"warning: the {learner} learner does not read {flag}; ignored"]
+        assert key not in manifest_config(out)
+
+    def test_removed_prior_flag_exits_2(self, tmp_path, capsys):
+        code = cli.main(REQUIRED_ONLY["sgld"][:-1] + [
+            str(tmp_path / "s"), "--lambda", "1", "--prior", "uniform"])
+        assert code == 2
+        assert "unrecognized arguments: --prior uniform" in (
+            capsys.readouterr().err)
 
 
 NOTES = ["# note", "", "   ", "\t# indented note"]

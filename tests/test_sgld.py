@@ -23,7 +23,7 @@ import capmeter.sgld
 from capmeter import kernels
 from capmeter.learners import REGRESSION, Dataset, SyntheticConfig, gen_synthetic
 from capmeter.oracle import HessianSpectrum, PriorKind, quad_log_z
-from capmeter.protocol import EnergyRecord, derive_rng
+from capmeter.protocol import EnergyRecord, derive_rng, estimate_avg_energy
 from capmeter.sgld import (
     ChainFailure,
     DifferentiableEnergy,
@@ -68,7 +68,6 @@ class TestSgldConfig:
         assert cfg.chains == 10
         assert cfg.equilibration_epochs == 20
         assert cfg.samples_per_window == 10
-        assert cfg.prior is PriorKind.GAUSSIAN
         assert cfg.n_schedule == (10, 20)
 
     def test_rejects_bad_step(self):
@@ -98,8 +97,6 @@ class TestSgldConfig:
             SgldConfig(step_size=0.1, n_schedule=(10,), equilibration_epochs=-1)
         with pytest.raises(ConfigError):
             SgldConfig(step_size=0.1, n_schedule=(10,), prior_eps=-0.5)
-        with pytest.raises(ConfigError):
-            SgldConfig(step_size=0.1, n_schedule=(10,), prior="gaussian")
 
 
 class TestQuadraticEnergy:
@@ -208,7 +205,7 @@ class TestMlpEnergy:
 
 class TestSgldStep:
     def test_pure_noise_moments(self):
-        # Zero gradient and uniform prior leave only the injected noise:
+        # Zero gradient and flat prior leave only the injected noise:
         # increments are Gaussian with per-coordinate variance equal to the
         # step size.
         energy = QuadraticEnergy([0.0, 0.0, 0.0])
@@ -217,8 +214,8 @@ class TestSgldStep:
         w = np.zeros(3)
         draws = np.empty((10_000, 3))
         for i in range(draws.shape[0]):
-            draws[i] = sgld_step(w, energy, np.arange(3), 50, PriorKind.UNIFORM,
-                                 step, rng)
+            draws[i] = sgld_step(w, energy, np.arange(3), 50, step, rng,
+                                 prior_eps=0.0)
         var = draws.reshape(-1).var()
         assert abs(var - step) <= 0.05 * step
         assert abs(draws.mean()) <= 3 * math.sqrt(step / draws.size)
@@ -226,9 +223,9 @@ class TestSgldStep:
     def test_deterministic_given_rng(self):
         energy = QuadraticEnergy([1.0, 2.0])
         w = np.array([0.3, -0.4])
-        a = sgld_step(w, energy, np.arange(2), 10, PriorKind.GAUSSIAN, 0.01,
+        a = sgld_step(w, energy, np.arange(2), 10, 0.01,
                       np.random.default_rng(3), prior_eps=1.0)
-        b = sgld_step(w, energy, np.arange(2), 10, PriorKind.GAUSSIAN, 0.01,
+        b = sgld_step(w, energy, np.arange(2), 10, 0.01,
                       np.random.default_rng(3), prior_eps=1.0)
         np.testing.assert_array_equal(a, b)
 
@@ -243,8 +240,7 @@ class TestSgldStep:
         burn, keep = 2_000, 80_000
         acc = np.empty(keep)
         for i in range(burn + keep):
-            w = sgld_step(w, energy, np.arange(1), n, PriorKind.GAUSSIAN, step,
-                          rng, prior_eps=eps)
+            w = sgld_step(w, energy, np.arange(1), n, step, rng, prior_eps=eps)
             if i >= burn:
                 acc[i - burn] = w[0]
         target = 1.0 / (n + eps)
@@ -253,14 +249,14 @@ class TestSgldStep:
     def test_rejects_empty_rows(self):
         with pytest.raises(InvalidArgument):
             sgld_step(np.zeros(1), QuadraticEnergy([1.0]), np.empty(0, dtype=int),
-                      10, PriorKind.UNIFORM, 0.01, np.random.default_rng(0))
+                      10, 0.01, np.random.default_rng(0), prior_eps=0.0)
 
     def test_non_finite_state_raises(self):
         energy = QuadraticEnergy([1e300])
         with np.errstate(over="ignore"):
             with pytest.raises(NonFiniteState):
-                sgld_step(np.array([1e300]), energy, np.arange(1), 10,
-                          PriorKind.UNIFORM, 1.0, np.random.default_rng(0))
+                sgld_step(np.array([1e300]), energy, np.arange(1), 10, 1.0,
+                          np.random.default_rng(0), prior_eps=0.0)
 
 
 class TestAvgEnergy:
@@ -326,8 +322,7 @@ class TestGibbsPosteriorFidelity:
         burn, keep = 3_000, 60_000
         acc = np.empty((keep, 2))
         for i in range(burn + keep):
-            w = sgld_step(w, energy, np.arange(1), n, PriorKind.GAUSSIAN, step,
-                          rng, prior_eps=eps)
+            w = sgld_step(w, energy, np.arange(1), n, step, rng, prior_eps=eps)
             if i >= burn:
                 acc[i - burn] = w
         target = np.diag(1.0 / (n * lam + eps))
@@ -366,8 +361,7 @@ class TestQuadraticMatchedLogistic:
         burn, keep, thin = 5_000, 30_000, 5
         samples = np.empty((keep // thin, 2))
         for i in range(burn + keep):
-            w = sgld_step(w, energy, train, n, PriorKind.GAUSSIAN, step, rng,
-                          prior_eps=eps)
+            w = sgld_step(w, energy, train, n, step, rng, prior_eps=eps)
             if i >= burn and (i - burn) % thin == 0:
                 samples[(i - burn) // thin] = w
         u_sgld = float(energy.heldout_means(samples, heldout).mean())
@@ -515,50 +509,112 @@ class TestIncrementalProtocol:
 
     def diverging_config(self, equilibration_epochs):
         # at N=10 the update multiplies the lambda=1 coordinate by -1.2 a
-        # step, so after ~3860 steps the states reach the overflow edge and
-        # whether a chain overflows depends on its noise
+        # step (h*k = 4.4), so after ~3860 steps the states reach the
+        # overflow edge and whether a chain overflows depends on its noise;
+        # run_incremental_protocol refuses this config for a
+        # QuadraticEnergy, whose spectrum it sees, but runs WrappedQuadratic
         return SgldConfig(step_size=0.4, n_schedule=(5, 10), chains=5,
                           equilibration_epochs=equilibration_epochs,
                           samples_per_window=20, seed=3)
 
+    def diverging_windows(self, window, equilibration_epochs):
+        """The kept mask, final states and samples of each window of the
+        diverging config, five chains run by ``window`` alone: the fused
+        kernel or the stacked path, on the unstable QuadraticEnergy."""
+        cfg = self.diverging_config(equilibration_epochs)
+        energy = QuadraticEnergy([1.0, 0.5])
+        noise = [derive_rng(cfg.seed, c, 0) for c in range(5)]
+        shuffle = [derive_rng(cfg.seed, c, 1) for c in range(5)]
+        w, out = np.zeros((5, 2)), []
+        for n in cfg.n_schedule:
+            if window == "fused":
+                w, samples, kept = capmeter.sgld._window_quadratic(
+                    energy, w, n, cfg, noise)
+            else:
+                pools = np.stack([np.arange(c, n, 5) for c in range(5)])
+                w, samples, kept = capmeter.sgld._window_stack(
+                    energy, w, pools, n, cfg, noise, shuffle)
+            out.append((kept, w[kept], samples[:, kept]))
+        return out
+
+    def assert_windows_agree(self, fused, stacked, dropped):
+        for (kept, w, samples), (kept_s, w_s, samples_s) in zip(fused, stacked):
+            np.testing.assert_array_equal(kept, kept_s)
+            np.testing.assert_array_equal(w, w_s)
+            np.testing.assert_array_equal(samples, samples_s)
+        assert [np.flatnonzero(~kept).tolist() for kept, _, _ in fused] == [
+            [], dropped]
+
     def test_diverging_chain_is_dropped_as_before(self):
         cfg = self.diverging_config(3860)
         with np.errstate(all="ignore"):
-            fused = run_incremental_protocol(QuadraticEnergy([1.0, 0.5]),
-                                             RowCount(11), cfg)
             generic = run_incremental_protocol(WrappedQuadratic([1.0, 0.5]),
                                                RowCount(11), cfg)
-        expected = (ChainFailure(chain=2, sample_size=10,
-                                 detail="langevin update produced a non-finite state"),)
-        assert fused.failures == generic.failures == expected
-        assert list(fused.curve.record_count) == [5, 4]
-        assert fused.records == generic.records
+            self.assert_windows_agree(self.diverging_windows("fused", 3860),
+                                      self.diverging_windows("stacked", 3860),
+                                      dropped=[2])
+        assert generic.failures == (ChainFailure(
+            chain=2, sample_size=10,
+            detail="langevin update produced a non-finite state"),)
+        assert list(generic.curve.record_count) == [5, 4]
+        with pytest.raises(ConfigError, match="N=10, lambda_max=1.0"):
+            run_incremental_protocol(QuadraticEnergy([1.0, 0.5]), RowCount(11),
+                                     cfg)
 
     @pytest.mark.parametrize("scalar_coords", [10**6, -1],
                              ids=["scalar", "numpy"])
     def test_diverging_fused_run_is_silent_on_both_loops(self, monkeypatch,
                                                          scalar_coords):
         # the kernel's scalar loop (Python floats) and its numpy loop both
-        # overflow without a warning and report the same dropped chain
+        # overflow without a warning and drop the chain the stacked path
+        # drops, with the same bits
         monkeypatch.setattr(kernels, "_SCALAR_COORDS", scalar_coords)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            fused = run_incremental_protocol(QuadraticEnergy([1.0, 0.5]),
-                                             RowCount(11),
-                                             self.diverging_config(3860))
-        assert fused.failures == (ChainFailure(
-            chain=2, sample_size=10,
-            detail="langevin update produced a non-finite state"),)
-        assert list(fused.curve.record_count) == [5, 4]
+            fused = self.diverging_windows("fused", 3860)
+        with np.errstate(all="ignore"):
+            stacked = self.diverging_windows("stacked", 3860)
+        self.assert_windows_agree(fused, stacked, dropped=[2])
 
     def test_diverging_majority_aborts_as_before(self):
         message = ("only 2 of 5 chains survived to sample size 10: "
                    "chain 2 at N=10; chain 3 at N=10; chain 4 at N=10")
-        for energy in (QuadraticEnergy([1.0, 0.5]), WrappedQuadratic([1.0, 0.5])):
-            with np.errstate(all="ignore"), pytest.raises(NonFiniteState) as err:
-                run_incremental_protocol(energy, RowCount(11),
-                                         self.diverging_config(3864))
-            assert str(err.value) == message
+        cfg = self.diverging_config(3864)
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteState) as err:
+                run_incremental_protocol(WrappedQuadratic([1.0, 0.5]),
+                                         RowCount(11), cfg)
+            self.assert_windows_agree(self.diverging_windows("fused", 3864),
+                                      self.diverging_windows("stacked", 3864),
+                                      dropped=[2, 3, 4])
+        assert str(err.value) == message
+        with pytest.raises(ConfigError, match="N=10, lambda_max=1.0"):
+            run_incremental_protocol(QuadraticEnergy([1.0, 0.5]), RowCount(11),
+                                     cfg)
+
+    @pytest.mark.parametrize("step, refused", [(0.25, True), (0.2499, False)])
+    def test_unstable_quadratic_step_is_refused_before_sampling(
+            self, monkeypatch, step, refused):
+        # h*(N_max*lambda_max + prior_eps) = step * (10*1 + 6) reaches 4 at
+        # step 0.25 exactly
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampling started")
+
+        cfg = SgldConfig(step_size=step, n_schedule=(5, 10), chains=2,
+                         equilibration_epochs=2, samples_per_window=3,
+                         prior_eps=6.0)
+        energy = QuadraticEnergy([0.5, 1.0])
+        if refused:
+            monkeypatch.setattr(capmeter.sgld, "_window_quadratic", no_sampling)
+            monkeypatch.setattr(capmeter.sgld, "_window_stack", no_sampling)
+            with pytest.raises(ConfigError) as err:
+                run_incremental_protocol(energy, RowCount(11), cfg)
+            assert str(err.value) == (
+                "step 0.25 is unstable at N=10, lambda_max=1.0: "
+                "h*(N*lambda_max + prior_eps) = 4.0 must be < 4")
+        else:
+            result = run_incremental_protocol(energy, RowCount(11), cfg)
+            assert list(result.curve.record_count) == [2, 2]
 
     @pytest.mark.parametrize("schedule, chains", [
         ((10, 20), 10),
@@ -696,7 +752,8 @@ def _reference_heldout_means(energy, samples, rows):
 def _reference_protocol(energy, dataset, config, dataset_id="sgld"):
     """run_incremental_protocol for energies outside the fused kernel, one
     sgld_step per minibatch and chain, chain after chain, and one
-    prob_on_rows call per held-out sample."""
+    prob_on_rows call per held-out sample; its curve aggregates the records
+    with estimate_avg_energy."""
     schedule, k = config.n_schedule, config.chains
     batch, m = config.batch_size, config.samples_per_window
     heldout = np.arange(schedule[-1], dataset.n_rows)
@@ -705,9 +762,9 @@ def _reference_protocol(energy, dataset, config, dataset_id="sgld"):
     noise_rngs = [derive_rng(config.seed, c, 0) for c in range(k)]
     shuffle_rngs = [derive_rng(config.seed, c, 1) for c in range(k)]
     alive = [True] * k
-    failures, records, u_mean, u_stderr, windows = [], [], [], [], []
+    failures, records, windows = [], [], []
     for j, n in enumerate(schedule):
-        chain_means, pooled = [], []
+        pooled = []
         # each schedule step deals its new rows round-robin by row index
         fresh = np.arange(schedule[j - 1] if j else 0, n)
         for c in range(k):
@@ -722,8 +779,8 @@ def _reference_protocol(energy, dataset, config, dataset_id="sgld"):
                         rows = rows[shuffle_rngs[c].permutation(rows.size)]
                     for start in range(0, rows.size, batch):
                         w = sgld_step(w, energy, rows[start:start + batch], n,
-                                      config.prior, config.step_size,
-                                      noise_rngs[c], config.prior_eps)
+                                      config.step_size, noise_rngs[c],
+                                      config.prior_eps)
                     if epoch >= config.equilibration_epochs:
                         samples.append(w)
             except NonFiniteState as exc:
@@ -734,7 +791,6 @@ def _reference_protocol(energy, dataset, config, dataset_id="sgld"):
             states[c] = w
             e = _reference_heldout_means(energy, np.array(samples), heldout)
             pooled.append(e)
-            chain_means.append(float(e.mean()))
             records.append(EnergyRecord(
                 dataset_id=dataset_id, sample_size=n, boot_index=c,
                 fold_index=0, seed_index=0,
@@ -745,25 +801,22 @@ def _reference_protocol(energy, dataset, config, dataset_id="sgld"):
                 f"only {sum(alive)} of {k} chains survived to sample size {n}: "
                 + "; ".join(f"chain {f.chain} at N={f.sample_size}"
                             for f in failures))
-        means = np.asarray(chain_means)
-        u_mean.append(means.mean())
-        u_stderr.append(means.std(ddof=1) / math.sqrt(means.size)
-                        if means.size > 1 else 0.0)
         windows.append(np.concatenate(pooled))
     capacities = tuple(
         capmeter.sgld._capacity_from_window_energies(
             windows[j], windows[j + 1], schedule[j], schedule[j + 1] - schedule[j])
         for j in range(len(schedule) - 1))
-    return failures, records, u_mean, u_stderr, capacities
+    curve = estimate_avg_energy(records, scale="probability-complement")
+    return failures, records, curve, capacities
 
 
 def assert_matches_reference(result, reference):
-    failures, records, u_mean, u_stderr, capacities = reference
+    failures, records, curve, capacities = reference
     assert result.failures == tuple(failures)
     assert result.records == tuple(records)
     assert result.capacities == capacities
-    np.testing.assert_array_equal(result.curve.u_mean, u_mean)
-    np.testing.assert_array_equal(result.curve.u_stderr, u_stderr)
+    assert result.curve.points == curve.points
+    assert result.curve.scale == curve.scale
 
 
 def logistic_energy():
@@ -797,7 +850,8 @@ class TestStackedWindow:
 
     @pytest.mark.parametrize("make_energy", [logistic_energy, mlp_energy],
                              ids=["logistic", "mlp"])
-    @pytest.mark.parametrize("prior", list(PriorKind), ids=lambda p: p.name)
+    # prior_eps 0 is the flat (uniform) prior
+    @pytest.mark.parametrize("prior_eps", [2.0, 0.0], ids=["GAUSSIAN", "UNIFORM"])
     @pytest.mark.parametrize("schedule, batch", [
         # pools of 14, 13, 13 then 30 rows: minibatched, with a short last
         # minibatch, and two stacks at the first point
@@ -805,12 +859,12 @@ class TestStackedWindow:
         # pools of 4, 3, 3 then 9, 8, 8 rows, each pool one batch
         ((10, 25), 64),
     ], ids=["minibatched", "one-batch"])
-    def test_matches_per_step_reference(self, make_energy, prior, schedule,
+    def test_matches_per_step_reference(self, make_energy, prior_eps, schedule,
                                         batch):
         energy = make_energy()
         cfg = SgldConfig(step_size=1e-3, n_schedule=schedule, chains=3,
                          equilibration_epochs=5, samples_per_window=7,
-                         batch_size=batch, prior=prior, prior_eps=2.0, seed=4)
+                         batch_size=batch, prior_eps=prior_eps, seed=4)
         result = run_incremental_protocol(energy, energy.dataset, cfg)
         reference = _reference_protocol(energy, energy.dataset, cfg)
         assert_matches_reference(result, reference)
