@@ -2,8 +2,8 @@
 quadratic closed forms, compare fitted models, and drive the Langevin
 sampler.
 
-Exit codes: 0 success, 2 configuration or parse problems, 3 training or
-chain failures, 4 estimator divergence.
+Exit codes: 0 success, else the error's ``exit_code``: 2 configuration or
+parse problems, 3 training or chain failures, 4 estimator failures.
 """
 
 from __future__ import annotations
@@ -22,17 +22,10 @@ from .errors import (
     AllTied,
     CapmeterError,
     ConfigError,
-    DegenerateCurve,
     DegenerateDesign,
-    FitDiverged,
     InsufficientPoints,
     InvalidArgument,
-    NonFiniteState,
-    OutOfRange,
     ParseError,
-    QuadratureFailure,
-    SolverFailure,
-    TrainingFailure,
     UndefinedThreshold,
 )
 from .estimators import (
@@ -83,20 +76,6 @@ from .sgld import (
 )
 
 CURVE_HEADER = "sample_size,u_mean,u_stderr,record_count"
-
-_EXIT_FIT = (FitDiverged, DegenerateCurve, SolverFailure, InsufficientPoints,
-             OutOfRange, QuadratureFailure, UndefinedThreshold,
-             DegenerateDesign, AllTied)
-_EXIT_TRAINING = (TrainingFailure, NonFiniteState)
-
-
-def _exit_code(exc: CapmeterError) -> int:
-    if isinstance(exc, _EXIT_FIT):
-        return 4
-    if isinstance(exc, _EXIT_TRAINING):
-        return 3
-    return 2
-
 
 def _fmt6(value) -> str:
     """Display rounding for printed oracle values."""
@@ -167,7 +146,7 @@ def _synthetic_dataset(spec_text: str, rows: int):
     config = SyntheticConfig(**values)
     dataset = gen_synthetic(config, rows)
     label = (f"synthetic-d{config.d}-kappa{config.kappa:g}-m{config.m_classes}"
-             f"-seed{config.seed}")
+             f"-h{config.teacher_hidden}-seed{config.seed}")
     return dataset, label
 
 
@@ -455,8 +434,8 @@ def cmd_fit(args) -> int:
     if args.plot:
         if sigmoid_model is not None:
             dense = np.geomspace(curve.n[0], curve.n[-1], 64)
-            fit_u = [energy_from_sigmoid(sigmoid_model, x) for x in dense]
-            cap_c = [sigmoid_model.capacity(x) for x in dense]
+            fit_u = energy_from_sigmoid(sigmoid_model, dense)
+            cap_c = sigmoid_model.capacity(dense)
             energy_panel = (curve.n, curve.u_mean, curve.u_stderr, dense, fit_u)
             capacity_panel = (dense, cap_c)
         else:
@@ -765,7 +744,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except CapmeterError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return _exit_code(exc)
+        return exc.exit_code
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,13 +1,16 @@
 """Exception types raised across the package.
 
 Grouped by the subsystem that raises them.  Everything derives from
-:class:`CapmeterError` so callers can catch broadly, and the CLI maps
-subgroups onto exit codes.
+:class:`CapmeterError` so callers can catch broadly, and each type carries
+its CLI exit code in ``exit_code``: 4 under ``FitFailure``, 3 for training
+and chain failures, 2 for the rest.
 """
 
 
 class CapmeterError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
 
 
 # ---------------------------------------------------------------------------
@@ -78,6 +81,8 @@ class TrainingFailure(CapmeterError):
     (the k-NN ``fit``) when called outside the protocol.
     """
 
+    exit_code = 3
+
     def __init__(self, *args, job=None):
         super().__init__(*args)
         self.job = job
@@ -104,31 +109,37 @@ class MixedTypes(CapmeterError):
 # curve estimators
 # ---------------------------------------------------------------------------
 
-class InsufficientPoints(CapmeterError):
+class FitFailure(CapmeterError):
+    """An estimator could not fit or read out a curve."""
+
+    exit_code = 4
+
+
+class InsufficientPoints(FitFailure):
     """Too few curve points for the requested fit."""
 
 
-class SolverFailure(CapmeterError):
+class SolverFailure(FitFailure):
     """Constrained least-squares iteration did not terminate."""
 
 
-class FitDiverged(CapmeterError):
+class FitDiverged(FitFailure):
     """Nonlinear fit failed to converge from every start."""
 
 
-class DegenerateCurve(CapmeterError):
+class DegenerateCurve(FitFailure):
     """Curve carries too little structure to identify the model."""
 
 
-class OutOfRange(CapmeterError):
+class OutOfRange(FitFailure):
     """Evaluation point far outside the fitted range."""
 
 
-class QuadratureFailure(CapmeterError):
+class QuadratureFailure(FitFailure):
     """Adaptive quadrature could not meet tolerance."""
 
 
-class UndefinedThreshold(CapmeterError):
+class UndefinedThreshold(FitFailure):
     """Freezing threshold undefined because the slope parameter is ~0."""
 
 
@@ -136,11 +147,11 @@ class LengthMismatch(CapmeterError):
     """Paired sequences differ in length."""
 
 
-class AllTied(CapmeterError):
+class AllTied(FitFailure):
     """Rank correlation undefined: one of the sequences is constant."""
 
 
-class DegenerateDesign(CapmeterError):
+class DegenerateDesign(FitFailure):
     """Regression design has zero variance."""
 
 
@@ -150,6 +161,8 @@ class DegenerateDesign(CapmeterError):
 
 class NonFiniteState(CapmeterError):
     """Sampler state left the finite domain."""
+
+    exit_code = 3
 
 
 class EmptyHeldout(CapmeterError):

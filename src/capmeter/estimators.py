@@ -136,8 +136,10 @@ def _nnls(M, d):
     span of the positive multipliers' columns, which stays accurate when
     nu is large.  The iteration stops once the gradient M'(d - M nu) at
     every zero multiplier is within its rounding error, and at most
-    CONSTRAINT_TOL; a multiplier within rounding of 0 leaves the positive
-    set.  Inner and outer steps share one budget of 3 x columns.
+    CONSTRAINT_TOL; a multiplier within rounding of 0, relative to the
+    largest one, leaves the positive set, and a positive set that empties
+    returns to the outer step at nu = 0.  Inner and outer steps share one
+    budget of 3 x columns.
     """
     m = M.shape[1]
     tol = min(CONSTRAINT_TOL, _ROUNDING * np.linalg.norm(d)
@@ -171,8 +173,11 @@ def _nnls(M, d):
                 break
             alpha = np.min(nu[low] / (nu[low] - s[low]))
             nu += alpha * (s - nu)
-            passive &= nu > floor
+            passive &= nu > _ROUNDING * np.max(nu)
             nu[~passive] = 0.0
+            if not passive.any():
+                resid = d
+                break
 
 
 def fit_monotone_polynomial(curve: EnergyCurve,
@@ -312,17 +317,17 @@ class SigmoidCapacityModel:
         return self.a * expit(self.c * np.log(n) - self.b)
 
 
-def energy_from_sigmoid(model: SigmoidCapacityModel, n: float) -> float:
-    """u_inf plus the capacity tail integral from N to infinity.
+def energy_from_sigmoid(model: SigmoidCapacityModel, n):
+    """u_inf plus the capacity tail integral from N to infinity, at a
+    scalar N or at each N of an array.
 
     Substituting u = 1/k turns the integral into
     int_0^{1/N} a/(1+e^b u^c) du, which ``_sigmoid_tail`` evaluates in
     closed form.
     """
-    n = float(n)
-    if n < 1:
-        raise InvalidArgument(f"N must be >= 1, got {n}")
-    return model.u_inf + float(_sigmoid_tail(model.a, model.b, model.c, n))
+    if np.min(n) < 1:
+        raise InvalidArgument(f"N must be >= 1, got {np.min(n)}")
+    return model.u_inf + _sigmoid_tail(model.a, model.b, model.c, n)
 
 
 # 2F1(1, beta; 1+beta; -z) is summed through Pfaff's transformation up to
@@ -698,10 +703,9 @@ def capacity_from_sigmoid(model: SigmoidCapacityModel,
     n = float(n)
     x = np.log(n)
     s = expit(model.c * x - model.b)
-    value = model.a * s
     grad = np.array([s, -model.a * s * (1 - s), model.a * s * (1 - s) * x, 0.0])
     var = float(grad @ model.covariance @ grad)
-    return CapacityEstimate(value=float(value),
+    return CapacityEstimate(value=float(model.capacity(n)),
                             stderr=float(np.sqrt(max(var, 0.0))),
                             at_n=n, method="sigmoid")
 

@@ -32,29 +32,12 @@ from .errors import (
 from .protocol import Job, content_lines, derive_rng
 
 
-class _Regression:
-    """Marker object used as ``m_classes`` for regression datasets."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "Regression"
-
-
-REGRESSION = _Regression()
-
-
 @dataclass(frozen=True)
 class Dataset:
     """Immutable feature matrix plus labels.
 
-    ``m_classes`` is an integer >= 2 for classification or the REGRESSION
-    marker, in which case labels are real-valued.
+    ``m_classes`` is an integer >= 2 for classification, or None for
+    regression, in which case labels are real-valued.
     """
 
     inputs: np.ndarray
@@ -71,7 +54,7 @@ class Dataset:
         if y.shape != (x.shape[0],):
             raise InvalidArgument(
                 f"labels shape {y.shape} does not match {x.shape[0]} rows")
-        if self.m_classes is REGRESSION:
+        if self.m_classes is None:
             y = np.ascontiguousarray(y, dtype=np.float64)
             if not np.all(np.isfinite(y)):
                 raise InvalidArgument("regression labels contain non-finite values")
@@ -103,7 +86,7 @@ class Dataset:
 
     @property
     def is_classification(self) -> bool:
-        return self.m_classes is not REGRESSION
+        return self.m_classes is not None
 
 
 @dataclass(frozen=True)
@@ -176,10 +159,6 @@ class PredictiveModel:
 
     def class_log_probs(self, inputs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def log_prob(self, x: np.ndarray, y: int) -> float:
-        lp = self.class_log_probs(np.asarray(x, dtype=np.float64)[None, :])
-        return float(lp[0, int(y)])
 
     def nll_terms(self, dataset: Dataset, rows: np.ndarray) -> np.ndarray:
         rows = np.asarray(rows)
@@ -320,12 +299,6 @@ class KnnModel(PredictiveModel):
         return (targets - f) ** 2 / (2.0 * s2) + np.log(
             self._sigma * np.sqrt(2.0 * np.pi))
 
-    def log_prob(self, x, y):
-        if self._m is None:
-            return float(-self.regression_nll(
-                np.asarray(x, dtype=np.float64)[None, :], np.array([y]))[0])
-        return super().log_prob(x, y)
-
     def nll_terms(self, dataset, rows):
         rows = np.asarray(rows)
         if self._m is None:
@@ -357,13 +330,13 @@ class KnnLearner(Learner):
         if rows.size == 0:
             raise EmptyTrainingSet("k-NN needs at least one training row")
         rows = np.sort(rows, kind="stable")
-        m = dataset.m_classes if dataset.is_classification else None
-        return KnnModel(dataset.inputs[rows], dataset.labels[rows], m,
-                        self.k, self.alpha, self.sigma)
+        return KnnModel(dataset.inputs[rows], dataset.labels[rows],
+                        dataset.m_classes, self.k, self.alpha, self.sigma)
 
 
 def knn_learner(k: int = 10, alpha: float = 1.0, sigma: float = 1.0) -> KnnLearner:
-    """Smoothed k-NN classifier (or mean-of-neighbours regressor).
+    """Smoothed k-NN classifier, or mean-of-neighbours regressor on a
+    regression dataset (``m_classes`` None).
 
     Class probabilities are (count + alpha) / (k + alpha * m); when fewer
     than k training rows exist the counts and denominator both use the
@@ -621,21 +594,19 @@ def mlp_learner(hidden: int, epochs: int = 150, lr_max: float = 0.1,
 # tabular files
 # ---------------------------------------------------------------------------
 
-def load_tabular(path, kind: str = "auto") -> Dataset:
+def load_tabular(path) -> Dataset:
     """Load a comma-separated numeric file; last column is the label.
 
-    ``kind`` is "auto", "classification", or "regression".  Under "auto",
-    all-integral labels mean classification (remapped to 0..m-1) and
-    all-fractional labels mean regression; a mixture raises MixedTypes
-    because the intent is ambiguous.
+    The labels set the task: all-integral labels mean classification
+    (remapped to 0..m-1), and all-fractional labels mean regression
+    (``m_classes`` None); a mixture raises MixedTypes because the intent
+    is ambiguous.
 
     Raises:
         ParseError: non-numeric field (with row and column), ragged rows,
             or no data rows.
-        MixedTypes: ambiguous label column under "auto".
+        MixedTypes: label column mixes integral and fractional values.
     """
-    if kind not in ("auto", "classification", "regression"):
-        raise InvalidArgument(f"unknown kind {kind!r}")
     rows = []
     width = None
     for lineno, line in content_lines(path):
@@ -663,19 +634,13 @@ def load_tabular(path, kind: str = "auto") -> Dataset:
     data = np.asarray(rows, dtype=np.float64)
     x, y = data[:, :-1], data[:, -1]
     integral = np.equal(np.mod(y, 1.0), 0.0)
-    if kind == "auto":
-        if np.all(integral):
-            kind = "classification"
-        elif not np.any(integral):
-            kind = "regression"
-        else:
-            raise MixedTypes(
-                "label column mixes integral and fractional values; pass "
-                "kind='classification' or kind='regression'")
-    if kind == "regression":
-        return Dataset(x, y, REGRESSION)
+    if not np.any(integral):
+        return Dataset(x, y, None)
     if not np.all(integral):
-        raise MixedTypes("classification labels must be integral")
+        raise MixedTypes(
+            "label column mixes integral and fractional values; the labels "
+            "must be all integral (class codes) or all fractional "
+            "(regression targets)")
     classes = np.unique(y.astype(np.int64))
     if classes.size < 2:
         raise InvalidArgument("classification file needs at least 2 classes")

@@ -16,7 +16,7 @@ from scipy import integrate
 
 import capmeter.estimators
 import capmeter.sgld
-from capmeter import cli
+from capmeter import cli, errors
 from capmeter.errors import ConfigError, InvariantViolation, ParseError
 from capmeter.learners import (
     SyntheticConfig,
@@ -265,6 +265,29 @@ class TestDataFlags:
         assert "not allowed with argument" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_mixed_label_file_exits_2_naming_no_keyword(self, tmp_path,
+                                                         capsys):
+        csv = tmp_path / "mixed.csv"
+        csv.write_text("".join(f"{float(x)!r},{y}\n" for x, y in
+                               zip(np.linspace(0.0, 1.0, 20), [1.0, 0.75] * 10)))
+        out = tmp_path / "r.csv"
+        code = cli.main(DATA_ARGV["run"] + ["--data", str(csv),
+                                            "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "error: MixedTypes: label column mixes integral and fractional" in err
+        assert "kind" not in err and "=" not in err
+        assert not out.exists()
+
+    def test_synthetic_id_names_the_teacher_width(self):
+        # the two specs label their rows differently, so their records must
+        # not share a dataset id
+        narrow, narrow_id = cli._synthetic_dataset("d=3,hidden=2,seed=2", 50)
+        wide, wide_id = cli._synthetic_dataset("d=3,seed=2", 50)
+        assert np.any(narrow.labels != wide.labels)
+        assert narrow_id == "synthetic-d3-kappa0-m2-h2-seed2"
+        assert wide_id == "synthetic-d3-kappa0-m2-h1000-seed2"
+
     @pytest.mark.parametrize("dataset_id", ["a,b", "a\nb", "a\rb"])
     def test_record_refuses_an_id_that_splits_its_line(self, dataset_id):
         with pytest.raises(InvariantViolation, match="dataset_id"):
@@ -412,6 +435,19 @@ class TestFit:
         err = capsys.readouterr().err
         assert "SolverFailure" in err
         assert "violates its shape constraints" in err
+
+    @pytest.mark.parametrize("grid", ["149:727:13log", "61:234:12log",
+                                      "189:953:12log"])
+    def test_noiseless_power_law_fits(self, tmp_path, grid):
+        # the NNLS dual once emptied its positive set on these curves and
+        # crashed on an empty SVD
+        n = np.array(cli.parse_grid(grid))
+        curve = tmp_path / "c.curve"
+        write_curve_file(curve, n, 0.05 + 1.0 / n, np.zeros(n.size))
+        assert cli.main(["fit", str(curve), "--out", str(tmp_path / "f")]) == 0
+        poly = json.loads((tmp_path / "f.json").read_text())["poly"]
+        for point in poly["capacity_by_n"]:
+            assert point["value"] == pytest.approx(1.0, abs=1e-4)
 
     def test_params_below_one_exits_2_before_fitting(self, tmp_path, capsys,
                                                      monkeypatch):
@@ -763,6 +799,31 @@ def manifest_config(path):
     return dict(item.split("=", 1) for item in line[len(prefix):].split(" "))
 
 
+# the exit code of each error type: 4 for the estimator failures, 3 for
+# training and chain failures, 2 for everything else
+FIT_ERRORS = {"FitFailure", "InsufficientPoints", "SolverFailure",
+              "FitDiverged", "DegenerateCurve", "OutOfRange",
+              "QuadratureFailure", "UndefinedThreshold", "AllTied",
+              "DegenerateDesign"}
+TRAINING_ERRORS = {"TrainingFailure", "EmptyTrainingSet", "NonFiniteLoss",
+                   "NonFiniteState"}
+ERROR_TYPES = sorted((obj for obj in vars(errors).values()
+                      if isinstance(obj, type)
+                      and issubclass(obj, errors.CapmeterError)),
+                     key=lambda cls: cls.__name__)
+
+
+class TestExitCodes:
+    def test_table_names_existing_types(self):
+        assert FIT_ERRORS | TRAINING_ERRORS <= {c.__name__ for c in ERROR_TYPES}
+
+    @pytest.mark.parametrize("cls", ERROR_TYPES, ids=lambda cls: cls.__name__)
+    def test_each_error_type_carries_its_exit_code(self, cls):
+        want = (4 if cls.__name__ in FIT_ERRORS
+                else 3 if cls.__name__ in TRAINING_ERRORS else 2)
+        assert cls.exit_code == want
+
+
 class TestSettings:
     """Each setting has one owner: the library object that reads it."""
 
@@ -784,7 +845,7 @@ class TestSettings:
                          "--out", str(out)]) == 0
         result = run_protocol(gen_synthetic(SyntheticConfig(d=2, seed=1), 20),
                               make(), ProtocolConfig(n_grid=(10, 20)),
-                              dataset_id="synthetic-d2-kappa0-m2-seed1")
+                              dataset_id="synthetic-d2-kappa0-m2-h1000-seed1")
         assert ingest_records(out) == list(result.records)
 
     @pytest.mark.parametrize("argv, settings", [

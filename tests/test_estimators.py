@@ -20,6 +20,7 @@ import capmeter.estimators
 
 from capmeter.errors import (
     AllTied,
+    CapmeterError,
     DegenerateCurve,
     DegenerateDesign,
     InsufficientPoints,
@@ -45,7 +46,7 @@ from capmeter.estimators import (
     _nnls,
     _sigmoid_tail,
 )
-from capmeter.protocol import EnergyCurve
+from capmeter.protocol import EnergyCurve, default_n_grid
 
 
 def make_curve(n, u, stderr=None):
@@ -316,6 +317,76 @@ class TestEnergyFromSigmoid:
     def test_rejects_n_below_one(self):
         with pytest.raises(InvalidArgument):
             energy_from_sigmoid(plain_model(1.0, 0.0, 1.0, 0.0), 0.5)
+        with pytest.raises(InvalidArgument, match="got 0.5"):
+            energy_from_sigmoid(plain_model(1.0, 0.0, 1.0, 0.0),
+                                np.array([2.0, 0.5]))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_array_call_matches_scalar_calls(self, seed):
+        # where z = e^b N^-c > 2 the tail sums its series through a BLAS
+        # matrix-vector product, whose accumulation order depends on a
+        # row's place in the batch: there an array call may differ from the
+        # scalar calls in the last bits, and elsewhere it may not
+        rng = np.random.default_rng(seed)
+        for _ in range(25):
+            a, b = rng.uniform(0.1, 50.0), rng.uniform(-20.0, 60.0)
+            c = math.exp(rng.uniform(-5.0, 7.0) * math.log(2.0))
+            model = plain_model(a, b, c, rng.uniform(0.0, 1.0))
+            n = np.geomspace(rng.uniform(1.0, 500.0), 5000.0, 64)
+            got = energy_from_sigmoid(model, n)
+            want = np.array([energy_from_sigmoid(model, x) for x in n])
+            np.testing.assert_array_max_ulp(got, want, maxulp=2)
+            pfaff = b - c * np.log(n) <= math.log(2.0)
+            assert np.array_equal(got[pfaff], want[pfaff])
+            caps = [capacity_from_sigmoid(model, x).value for x in n]
+            assert np.array_equal(model.capacity(n), caps)
+
+
+def random_curve(rng, i):
+    """A seeded curve of 5-13 points: a noiseless power law (the first of
+    every four, 9-13 points over a factor of 2-8 in N), a noisy power law,
+    noise about a constant, or a rising curve; stderrs all zero, all
+    positive, or positive with some zeros."""
+    lo = int(rng.integers(10, 400))
+    kind = i % 4
+    if kind == 0:
+        n = np.array(default_n_grid(lo, int(lo * rng.uniform(2.0, 8.0)),
+                                    int(rng.integers(9, 14))))
+        power = rng.choice([0.5, 1.0, 2.0])
+        return make_curve(n, rng.uniform(0.01, 1.0) + 1.0 / n ** power)
+    n = np.array(default_n_grid(lo, int(lo * rng.uniform(1.5, 30.0)),
+                                int(rng.integers(5, 14))))
+    level, scale = rng.uniform(0.01, 1.0), rng.uniform(0.1, 50.0)
+    if kind == 1:
+        u = level + scale / n
+    elif kind == 2:
+        u = np.full(n.size, level)
+    else:
+        u = level + 0.01 * scale * np.log(n)
+    noise = rng.uniform(1e-4, 0.05) * np.mean(u)
+    se = np.abs(rng.normal(0.0, noise, n.size))
+    if i % 3 == 0:
+        se[rng.random(n.size) < 0.3] = 0.0
+    if i % 7 == 0:
+        se[:] = 0.0
+    return make_curve(n, u + rng.normal(0.0, noise, n.size), se)
+
+
+class TestFitContract:
+    def test_every_fit_returns_or_raises_a_fit_failure(self):
+        # typed errors are a contract: a fit either returns a model or
+        # raises an error whose exit code is 4, never anything else
+        rng = np.random.default_rng(23)
+        for i in range(200):
+            curve = random_curve(rng, i)
+            fits = [fit_monotone_polynomial]
+            if i % 25 == 0:
+                fits.append(fit_sigmoid_capacity)
+            for fit in fits:
+                try:
+                    fit(curve)
+                except CapmeterError as exc:
+                    assert exc.exit_code == 4, (i, fit.__name__, exc)
 
 
 class TestSigmoidTailClosedForm:

@@ -18,7 +18,6 @@ from capmeter.errors import (
 )
 from capmeter.learners import (
     Dataset,
-    REGRESSION,
     SyntheticConfig,
     gen_synthetic,
     k_nearest,
@@ -69,7 +68,7 @@ class TestDataset:
             Dataset(np.array([[np.inf], [0.0]]), [0, 1], 2)
 
     def test_regression_labels_are_real(self):
-        ds = Dataset(np.zeros((2, 1)), [0.25, -1.5], REGRESSION)
+        ds = Dataset(np.zeros((2, 1)), [0.25, -1.5], None)
         assert not ds.is_classification
         assert ds.labels.dtype == np.float64
 
@@ -123,19 +122,22 @@ class TestKnn:
     def test_single_neighbor_probability(self):
         ds = Dataset(np.array([[0.0], [2.0]]), [0, 1], 2)
         model = knn_learner(k=1, alpha=1.0).fit(ds, np.array([0, 1]), 0)
-        assert model.log_prob(np.array([0.9]), 0) == pytest.approx(math.log(2 / 3))
-        assert model.log_prob(np.array([0.9]), 1) == pytest.approx(math.log(1 / 3))
+        assert model.class_log_probs(np.array([[0.9]]))[0, 0] == pytest.approx(
+            math.log(2 / 3))
+        assert model.class_log_probs(np.array([[0.9]]))[0, 1] == pytest.approx(
+            math.log(1 / 3))
 
     def test_three_neighbors_split_two_one(self):
         ds = Dataset(np.array([[0.0], [0.1], [2.0]]), [0, 0, 1], 2)
         model = knn_learner(k=3, alpha=1.0).fit(ds, np.arange(3), 0)
-        assert model.log_prob(np.array([0.05]), 0) == pytest.approx(math.log(3 / 5))
+        assert model.class_log_probs(np.array([[0.05]]))[0, 0] == pytest.approx(
+            math.log(3 / 5))
 
     def test_huge_alpha_gives_uniform(self):
         ds = Dataset(np.array([[0.0], [2.0]]), [0, 1], 2)
         model = knn_learner(k=1, alpha=1e12).fit(ds, np.arange(2), 0)
-        assert model.log_prob(np.array([0.0]), 1) == pytest.approx(math.log(0.5),
-                                                                  abs=1e-9)
+        assert model.class_log_probs(np.array([[0.0]]))[0, 1] == pytest.approx(
+            math.log(0.5), abs=1e-9)
 
     def test_distance_tie_prefers_lowest_row(self):
         ds = Dataset(np.array([[-1.0], [1.0]]), [1, 0], 2)
@@ -143,13 +145,15 @@ class TestKnn:
         # both rows at distance 1 from the query; row 0 must win even when
         # the training subset lists row 1 first
         model = learner.fit(ds, np.array([1, 0]), 0)
-        assert model.log_prob(np.array([0.0]), 1) == pytest.approx(math.log(2 / 3))
+        assert model.class_log_probs(np.array([[0.0]]))[0, 1] == pytest.approx(
+            math.log(2 / 3))
 
     def test_duplicate_rows_count_twice(self):
         ds = Dataset(np.array([[0.0], [3.0]]), [0, 1], 2)
         model = knn_learner(k=3, alpha=1.0).fit(ds, np.array([0, 0, 1]), 0)
         # counts 2-1 for class 0 near the duplicated row
-        assert model.log_prob(np.array([0.1]), 0) == pytest.approx(math.log(3 / 5))
+        assert model.class_log_probs(np.array([[0.1]]))[0, 0] == pytest.approx(
+            math.log(3 / 5))
 
     def test_small_training_set_stays_normalized(self):
         ds = Dataset(np.array([[0.0], [1.0]]), [0, 1], 2)
@@ -171,7 +175,7 @@ class TestKnn:
 
     def test_regression_gaussian_energy(self):
         ds = Dataset(np.array([[0.0], [1.0], [10.0]]), [1.0, 2.0, 9.0],
-                     REGRESSION)
+                     None)
         model = knn_learner(k=2, alpha=1.0, sigma=2.0).fit(ds, np.arange(3), 0)
         # neighbors of x=0.5 are rows 0, 1: prediction 1.5
         terms = model.nll_terms(ds, np.array([0]))
@@ -223,7 +227,7 @@ class TestKnnSelection:
         rng = np.random.default_rng(11)
         x = rng.integers(0, 3, (40, 2)).astype(float)
         y = labels(rng, 40)
-        ds = Dataset(x, y, REGRESSION if regression else 3)
+        ds = Dataset(x, y, None if regression else 3)
         rows = rng.integers(0, 40, 25)
         model = knn_learner(k=k, alpha=0.7).fit(ds, rows, 0)
         train = np.sort(rows)
@@ -757,10 +761,3 @@ class TestLoadTabular:
         path.write_text("0.0,1.0\n1.0,0.75\n")
         with pytest.raises(MixedTypes):
             load_tabular(path)
-
-    def test_kind_override_allows_mixed_regression(self, tmp_path):
-        path = tmp_path / "data.csv"
-        path.write_text("0.0,1.0\n1.0,0.75\n")
-        ds = load_tabular(path, kind="regression")
-        assert not ds.is_classification
-        assert ds.labels.tolist() == [1.0, 0.75]

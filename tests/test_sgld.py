@@ -21,7 +21,7 @@ from capmeter.errors import (
 )
 import capmeter.sgld
 from capmeter import kernels
-from capmeter.learners import REGRESSION, Dataset, SyntheticConfig, gen_synthetic
+from capmeter.learners import Dataset, SyntheticConfig, gen_synthetic
 from capmeter.oracle import HessianSpectrum, PriorKind, quad_log_z
 from capmeter.protocol import EnergyRecord, derive_rng, estimate_avg_energy
 from capmeter.sgld import (
@@ -156,7 +156,7 @@ class TestLogisticEnergy:
         assert np.linalg.norm(fd - g) <= 1e-4 * np.linalg.norm(g)
 
     def test_rejects_regression_dataset(self):
-        ds = Dataset(np.ones((4, 1)), np.array([0.1, 0.2, 0.3, 0.4]), REGRESSION)
+        ds = Dataset(np.ones((4, 1)), np.array([0.1, 0.2, 0.3, 0.4]), None)
         with pytest.raises(InvalidArgument):
             LogisticEnergy(ds)
 
@@ -190,7 +190,7 @@ class TestMlpEnergy:
         assert np.linalg.norm(fd - g) <= 1e-4 * np.linalg.norm(g)
 
     def test_rejects_regression_dataset(self):
-        ds = Dataset(np.ones((4, 1)), np.array([0.1, 0.2, 0.3, 0.4]), REGRESSION)
+        ds = Dataset(np.ones((4, 1)), np.array([0.1, 0.2, 0.3, 0.4]), None)
         with pytest.raises(InvalidArgument, match="MlpEnergy needs a classification"):
             MlpEnergy(ds, hidden=2)
 
