@@ -62,6 +62,7 @@ from .protocol import (
     content_lines,
     default_n_grid,
     estimate_avg_energy,
+    header_values,
     ingest_records,
     run_protocol,
     write_records,
@@ -70,7 +71,6 @@ from .sgld import (
     LogisticEnergy,
     MlpEnergy,
     QuadraticEnergy,
-    RowCount,
     SgldConfig,
     run_incremental_protocol,
 )
@@ -181,7 +181,8 @@ _READERS = {
     "sgld": {
         "config": {"chains": "chains", "equil": "equilibration_epochs",
                    "samples": "samples_per_window", "batch": "batch_size",
-                   "prior_eps": "prior_eps", "seed": "seed"},
+                   "prior_eps": "prior_eps", "heldout_rows": "heldout_rows",
+                   "seed": "seed"},
         "quadratic": {"lambda": "eigenvalues"},
         "logistic": {"synthetic": None, "data": None},
         "mlp": {"synthetic": None, "data": None, "hidden": "hidden"},
@@ -206,10 +207,10 @@ def _settings(args, command: str) -> list:
             for name in ("config", args.learner)]
 
 
-def _resolved(args, command: str, config, model, **extra) -> dict:
+def _resolved(args, command: str, config, model) -> dict:
     """The settings that ran, under library names and with defaults: the
     fields of ``config`` and the keywords of ``model`` that flags set."""
-    settings = dict(dataclasses.asdict(config), learner=args.learner, **extra)
+    settings = dict(dataclasses.asdict(config), learner=args.learner)
     settings.update((keyword, getattr(model, keyword)) for keyword
                     in _READERS[command][args.learner].values() if keyword)
     return {key: ",".join(map(str, np.ravel(value).tolist()))
@@ -264,9 +265,7 @@ def _read_curve(path, scale: str) -> EnergyCurve:
 def _load_curve_input(path) -> EnergyCurve:
     """Accept either a record file or a curve summary file.  A ``# scale=``
     comment line names the curve's scale, "nll" when there is none."""
-    with open(path, encoding="utf-8") as fh:
-        notes = [re.fullmatch(r"#+\s*scale=(.*)", raw.strip()) for raw in fh]
-    scale = next((note.group(1) for note in reversed(notes) if note), "nll")
+    scale = header_values(path).get("scale", (0, "nll"))[1]
     first = next(content_lines(path), None)
     if first is None:
         raise ParseError("file has no content lines", line=0)
@@ -456,6 +455,9 @@ def cmd_fit(args) -> int:
 
 def _spectrum_for(args) -> HessianSpectrum:
     if args.spectrum is not None:
+        if args.eps is not None:
+            raise ConfigError("--eps is for --lambda; a spectrum file sets "
+                              "epsilon in its header")
         return load_spectrum(args.spectrum)
     if args.lambdas is not None:
         if args.eps is None:
@@ -583,34 +585,27 @@ def cmd_compare(args) -> int:
 
 
 def cmd_sgld(args) -> int:
-    if args.learner not in ("quadratic", "logistic", "mlp"):
-        raise ConfigError(f"learner not differentiable: {args.learner}")
-    if args.heldout_rows < 1:
-        raise ConfigError(
-            f"--heldout-rows must be >= 1, got {args.heldout_rows}")
     schedule = _parse_ints(args.schedule)
     config_args, energy_args = _settings(args, "sgld")
     config = SgldConfig(step_size=args.step, n_schedule=schedule, **config_args)
-    rows = max(schedule) + args.heldout_rows
     if args.learner == "quadratic":
         if "eigenvalues" not in energy_args:
             raise ConfigError("quadratic energy needs --lambda")
         energy = QuadraticEnergy(_parse_floats(energy_args["eigenvalues"]))
-        dataset, label, inputs = RowCount(rows), f"quadratic-p{energy.dim}", ()
+        label, inputs = f"quadratic-p{energy.dim}", ()
     else:
-        dataset, label, inputs = _dataset_for(args, rows)
+        dataset, label, inputs = _dataset_for(
+            args, max(schedule) + config.heldout_rows)
         energy = (LogisticEnergy(dataset) if args.learner == "logistic" else
                   MlpEnergy(dataset, hidden=energy_args.get("hidden", HIDDEN)))
 
-    result = run_incremental_protocol(energy, dataset, config, dataset_id=label)
+    result = run_incremental_protocol(energy, config, dataset_id=label)
     for failure in result.failures:
         print(f"warning: chain {failure.chain} failed at N={failure.sample_size}: "
               f"{failure.detail}", file=sys.stderr)
 
     manifest = report.build_manifest(
-        args._argv, _resolved(args, "sgld", config, energy,
-                              heldout_rows=args.heldout_rows),
-        config.seed, inputs)
+        args._argv, _resolved(args, "sgld", config, energy), config.seed, inputs)
     comments = report.manifest_lines(manifest)
     comments.append(f"scale={result.curve.scale}")
     write_records(args.out, result.records, comments=comments)
@@ -684,10 +679,12 @@ def build_parser() -> ArgumentParser:
     fit.set_defaults(func=cmd_fit)
 
     oracle = subs.add_parser("oracle", help="closed-form quadratic values")
-    oracle.add_argument("--spectrum", help="spectrum file")
-    oracle.add_argument("--lambda", dest="lambdas",
-                        help="inline eigenvalues, comma separated")
-    oracle.add_argument("--eps", type=float, default=None)
+    spectrum = oracle.add_mutually_exclusive_group()
+    spectrum.add_argument("--spectrum", help="spectrum file")
+    spectrum.add_argument("--lambda", dest="lambdas",
+                          help="inline eigenvalues, comma separated")
+    oracle.add_argument("--eps", type=float, default=None,
+                        help="prior precision of --lambda; 0 is the flat prior")
     oracle.add_argument("--n", type=int, default=None)
     oracle.add_argument("--exact", action="store_true",
                         help="exact capacity at --n")
@@ -710,7 +707,7 @@ def build_parser() -> ArgumentParser:
                            allow_abbrev=False)
     _add_data_flags(sgld)
     sgld.add_argument("--learner", required=True,
-                      help="quadratic, logistic, or mlp")
+                      choices=["quadratic", "logistic", "mlp"])
     sgld.add_argument("--schedule", required=True,
                       help="comma list of sample sizes")
     sgld.add_argument("--step", type=float, required=True)
@@ -724,7 +721,7 @@ def build_parser() -> ArgumentParser:
     sgld.add_argument("--lambda",
                       help="quadratic energy eigenvalues, comma separated")
     sgld.add_argument("--hidden", type=int, help="MLP energy hidden width")
-    sgld.add_argument("--heldout-rows", type=int, default=256,
+    sgld.add_argument("--heldout-rows", type=int,
                       help="rows held out past the schedule for the readout")
     sgld.add_argument("--seed", type=int, help="master seed")
     sgld.add_argument("--out", required=True)

@@ -165,9 +165,5 @@ class NonFiniteState(CapmeterError):
     exit_code = 3
 
 
-class EmptyHeldout(CapmeterError):
-    """No rows left to evaluate on."""
-
-
 class ScheduleExhaustsData(CapmeterError):
-    """Requested schedule needs more rows than the dataset holds."""
+    """The schedule and its held-out rows need more rows than the dataset holds."""

@@ -10,11 +10,11 @@ learning coefficient of non-quadratic energies.
 Conventions: the sample size ``n`` plays the role of inverse temperature,
 so derivatives in ``n`` are taken as integer-step finite differences where
 an estimator is involved.  ``HessianSpectrum.epsilon`` doubles as the
-precision of the isotropic Gaussian prior.
+precision of the isotropic Gaussian prior, and epsilon 0 is the flat prior,
+as ``prior_eps`` 0 is in the Langevin sampler.
 """
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -27,16 +27,13 @@ from .errors import (
     InvariantViolation,
     ParseError,
 )
+from .protocol import content_lines, header_values
 
 _TWO_PI = 2.0 * np.pi
 
-
-class PriorKind(Enum):
-    """Weight prior: improper uniform, or isotropic Gaussian with precision
-    taken from the spectrum's epsilon field."""
-
-    UNIFORM = "uniform"
-    GAUSSIAN = "gaussian"
+# weights drawn per chunk by rlct_volume_estimate, which bounds its memory;
+# the draws, so the estimate, do not depend on it
+_DRAW_BLOCK = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -45,7 +42,8 @@ class HessianSpectrum:
 
     Attributes:
         eigenvalues: shape (p,), stored sorted non-increasing.
-        epsilon: precision of the isotropic Gaussian prior, >= 0.
+        epsilon: precision of the isotropic Gaussian prior, >= 0; 0 is the
+            flat prior.
         offsets: optional shape (p,) displacement of the energy minimum
             from the prior mean, expressed in the Hessian eigenbasis and
             permuted together with the eigenvalues.
@@ -95,33 +93,30 @@ def _check_n(n) -> float:
     return n
 
 
-def quad_log_z(spectrum: HessianSpectrum, prior: PriorKind, n) -> float:
+def quad_log_z(spectrum: HessianSpectrum, n) -> float:
     """Log partition function of a quadratic energy at sample size ``n``.
 
-    Uniform prior: ``0.5 * sum(log(2*pi / (n * lam_i)))``; requires every
-    eigenvalue positive, otherwise the integral diverges.  Offsets do not
-    matter under the uniform prior.
+    Flat prior (epsilon 0): ``0.5 * sum(log(2*pi / (n * lam_i)))``;
+    requires every eigenvalue positive, otherwise the integral diverges.
+    Offsets do not matter under the flat prior.
 
-    Gaussian prior with precision ``eps``: ``0.5 * sum(log(eps / (n*lam_i
-    + eps)))``; a nonzero displacement ``b`` of the minimum from the prior
-    mean contributes ``-eps/2 * sum(b_i^2) + eps^2/2 * sum(b_i^2 /
-    (n*lam_i + eps))``.
+    Gaussian prior with precision ``eps > 0``: ``0.5 * sum(log(eps /
+    (n*lam_i + eps)))``; a nonzero displacement ``b`` of the minimum from
+    the prior mean contributes ``-eps/2 * sum(b_i^2) + eps^2/2 *
+    sum(b_i^2 / (n*lam_i + eps))``.
 
     Raises:
-        DivergentPartition: uniform prior with a non-positive eigenvalue,
-            or Gaussian prior with zero precision.
+        DivergentPartition: flat prior with a non-positive eigenvalue.
         InvalidSpectrum: negative eigenvalue under the Gaussian prior.
     """
     n = _check_n(n)
     lam = spectrum.eigenvalues
-    if prior is PriorKind.UNIFORM:
-        if np.any(lam <= 0.0):
-            raise DivergentPartition(
-                "uniform-prior partition function diverges for eigenvalues <= 0")
-        return float(0.5 * np.sum(np.log(_TWO_PI / (n * lam))))
     eps = spectrum.epsilon
     if eps == 0.0:
-        raise DivergentPartition("Gaussian prior needs epsilon > 0")
+        if np.any(lam <= 0.0):
+            raise DivergentPartition(
+                "flat-prior partition function diverges for eigenvalues <= 0")
+        return float(0.5 * np.sum(np.log(_TWO_PI / (n * lam))))
     if np.any(lam < 0.0):
         raise InvalidSpectrum("negative eigenvalue under Gaussian prior")
     denom = n * lam + eps
@@ -247,8 +242,7 @@ def rlct_volume_estimate(energy: Callable[[np.ndarray], np.ndarray],
                          eps: float,
                          a: float = 2.0,
                          n_samples: int = 1_000_000,
-                         seed: int = 0,
-                         batch: int = 1 << 17) -> RlctEstimate:
+                         seed: int = 0) -> RlctEstimate:
     """Learning coefficient via the volume-ratio of two sub-level sets.
 
     Draws ``n_samples`` weights from ``sampler``, counts how many land
@@ -267,7 +261,6 @@ def rlct_volume_estimate(energy: Callable[[np.ndarray], np.ndarray],
         a: level ratio, > 1.
         n_samples: total draws.
         seed: master seed for the draw stream.
-        batch: draw chunk size (memory knob, no effect on the estimate).
 
     Raises:
         InsufficientHits: fewer than 20 draws landed below ``eps``.
@@ -283,7 +276,7 @@ def rlct_volume_estimate(energy: Callable[[np.ndarray], np.ndarray],
     hits_high = 0
     done = 0
     while done < n_samples:
-        m = min(batch, n_samples - done)
+        m = min(_DRAW_BLOCK, n_samples - done)
         w = sampler(rng, m)
         e = np.asarray(energy(w), dtype=np.float64)
         hits_low += int(np.count_nonzero(e < eps))
@@ -324,42 +317,31 @@ def load_spectrum(path) -> HessianSpectrum:
         ParseError: malformed number or header, with its location.
         InvariantViolation: missing epsilon header or empty spectrum.
     """
+    header = header_values(path)
+    epsilon = offsets = None
+    if "epsilon" in header:
+        lineno, val = header["epsilon"]
+        try:
+            epsilon = float(val)
+        except ValueError:
+            raise ParseError(f"bad epsilon value {val!r}", lineno) from None
+    if "offsets" in header:
+        lineno, val = header["offsets"]
+        try:
+            offsets = np.array([float(tok) for tok in val.split(",")])
+        except ValueError:
+            raise ParseError(f"bad offsets list {val!r}", lineno) from None
     eigenvalues = []
-    epsilon = None
-    offsets = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                body = line[1:].strip()
-                if "=" not in body:
-                    continue
-                key, _, val = body.partition("=")
-                key = key.strip().lower()
-                val = val.strip()
-                if key == "epsilon":
-                    try:
-                        epsilon = float(val)
-                    except ValueError:
-                        raise ParseError(f"bad epsilon value {val!r}", lineno) from None
-                elif key == "offsets":
-                    try:
-                        offsets = [float(tok) for tok in val.split(",")]
-                    except ValueError:
-                        raise ParseError(f"bad offsets list {val!r}", lineno) from None
-                continue
-            try:
-                eigenvalues.append(float(line))
-            except ValueError:
-                raise ParseError(f"bad eigenvalue {line!r}", lineno, column=1) from None
+    for lineno, line in content_lines(path):
+        try:
+            eigenvalues.append(float(line))
+        except ValueError:
+            raise ParseError(f"bad eigenvalue {line!r}", lineno, column=1) from None
     if epsilon is None:
         raise InvariantViolation(f"{path}: missing 'epsilon' header")
     if not eigenvalues:
         raise InvariantViolation(f"{path}: no eigenvalues")
-    return HessianSpectrum(np.array(eigenvalues), epsilon,
-                           np.array(offsets) if offsets is not None else None)
+    return HessianSpectrum(np.array(eigenvalues), epsilon, offsets)
 
 
 def save_spectrum(path, spectrum: HessianSpectrum) -> None:

@@ -386,6 +386,20 @@ def content_lines(path):
                 yield lineno, line
 
 
+def header_values(path) -> dict:
+    """The ``# key=value`` comment lines of a text file, as lower-cased key
+    -> (line number, stripped value); a later line wins.  Spaces around the
+    key and value are allowed."""
+    values = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if line.startswith("#") and "=" in line:
+                key, _, value = line[1:].partition("=")
+                values[key.strip().lower()] = (lineno, value.strip())
+    return values
+
+
 def write_records(path, records, comments=()) -> None:
     """Write records as CSV; '#' comment lines go before the header."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -9,15 +9,15 @@ differencing the readout at two schedule points.
 ``run_incremental_protocol`` deals rows to ``k`` chains round-robin by row
 index: at schedule point N chain c's training pool is ``np.arange(c, N,
 k)``, so each schedule step hands every chain an equal share (within one
-row) of the newly admitted rows, and the rows from N_max on are held out.
-It advances the live chains of a schedule point together.  Chains whose
-pools hold equally many rows form one ``(chains, dim)`` state that takes
-one gradient call per minibatch, each chain with its own minibatch order
-and its own noise stream, so every trajectory is bitwise the one
-``sgld_step`` would take.  Quadratic chains
-whose pool fits one batch run in the fused kernel instead, which steps a
-state of up to ``kernels._SCALAR_COORDS`` coordinates in Python floats and
-a larger one in numpy, with the same bits either way.  The held-out
+row) of the newly admitted rows, and the ``heldout_rows`` rows from N_max on
+are held out.  It advances the live chains of a schedule point together.
+Chains whose pools hold equally many rows form one ``(chains, dim)`` state
+that takes one gradient call per minibatch, each chain with its own
+minibatch order and its own noise stream, so every trajectory is bitwise
+the one ``sgld_step`` would take.  Quadratic chains whose pool fits one
+batch run in the fused kernel instead, which steps a state of up to
+``kernels._SCALAR_COORDS`` coordinates in Python floats and a larger one
+in numpy, with the same bits either way.  The held-out
 readout scores every sample of every chain at a schedule point in one
 ``heldout_means`` call.
 """
@@ -32,7 +32,6 @@ import numpy as np
 from . import kernels
 from .errors import (
     ConfigError,
-    EmptyHeldout,
     InvalidArgument,
     NonFiniteState,
     ScheduleExhaustsData,
@@ -54,7 +53,6 @@ __all__ = [
     "QuadraticEnergy",
     "LogisticEnergy",
     "MlpEnergy",
-    "RowCount",
     "ChainFailure",
     "SgldResult",
     "sgld_step",
@@ -65,7 +63,8 @@ __all__ = [
 @dataclass(frozen=True)
 class SgldConfig:
     """Settings for a Langevin run over a growing sample-size schedule; the
-    Gaussian prior pulls by ``prior_eps * w``, and 0 is the flat prior."""
+    Gaussian prior pulls by ``prior_eps * w``, and 0 is the flat prior.  The
+    ``heldout_rows`` rows from the last schedule point on are held out."""
 
     step_size: float
     n_schedule: tuple
@@ -74,6 +73,7 @@ class SgldConfig:
     samples_per_window: int = 10
     batch_size: int = 64
     prior_eps: float = 1.0
+    heldout_rows: int = 256
     seed: int = 0
 
     def __post_init__(self):
@@ -99,6 +99,8 @@ class SgldConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.prior_eps) and self.prior_eps >= 0):
             raise ConfigError(f"prior_eps must be >= 0, got {self.prior_eps}")
+        if self.heldout_rows < 1:
+            raise ConfigError(f"heldout_rows must be >= 1, got {self.heldout_rows}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -117,7 +119,8 @@ class DifferentiableEnergy:
     minibatch gradient is already an unbiased estimate of the full-data
     one and the driver only has to scale by the nominal sample size.
     ``prob_on_rows`` reports per-row predictive probabilities for the
-    held-out readout.
+    held-out readout.  ``n_rows`` is the number of rows the energy can
+    index, None when it ignores row contents.
 
     ``value`` takes one state ``(dim,)`` with its rows ``(b,)``.
     ``gradient`` and ``prob_on_rows`` take one state or a stack of states
@@ -127,6 +130,8 @@ class DifferentiableEnergy:
     per minibatch for a whole stack of chains and scores a window in
     blocks of samples.
     """
+
+    n_rows = None
 
     @property
     def dim(self) -> int:
@@ -200,6 +205,7 @@ class _ClassifierEnergy(DifferentiableEnergy):
             raise InvalidArgument(
                 f"{type(self).__name__} needs a classification dataset")
         self.dataset = dataset
+        self.n_rows = dataset.n_rows
 
     def _states(self, weights) -> np.ndarray:
         """The weights as float64 states, checked for ``dim`` per state."""
@@ -351,17 +357,6 @@ class SgldResult:
     failures: tuple = field(default_factory=tuple)
 
 
-@dataclass(frozen=True)
-class RowCount:
-    """Stand-in dataset for energies that ignore row contents."""
-
-    rows: int
-
-    @property
-    def n_rows(self) -> int:
-        return int(self.rows)
-
-
 def _window_stack(energy, w, pools, sample_size, config, noise_rngs,
                   shuffle_rngs):
     """Equilibration plus sampling epochs of chains with equally large pools.
@@ -441,15 +436,15 @@ def _window_quadratic(energy, w, sample_size, config, noise_rngs):
     return w, samples, kept
 
 
-def run_incremental_protocol(energy: DifferentiableEnergy, dataset,
-                             config: SgldConfig,
+def run_incremental_protocol(energy: DifferentiableEnergy, config: SgldConfig,
                              dataset_id: str = "sgld") -> SgldResult:
     """Sample each schedule point by growing the chains' training pools.
 
     At schedule point N chain c trains on rows c, c+k, c+2k, ... below N
     (k chains), so the chains keep equal shares, within one row, while the
-    temperature follows the nominal sample size.  Rows past
-    ``max(n_schedule)`` form the held-out pool for the energy readout.  A
+    temperature follows the nominal sample size.  The ``heldout_rows`` rows
+    from ``max(n_schedule)`` on form the held-out pool for the energy
+    readout; ScheduleExhaustsData if the energy's rows cannot cover them.  A
     chain whose state leaves the finite domain is dropped; the run
     continues while at least half the chains survive.  The curve is
     ``estimate_avg_energy`` of the records.  A quadratic step scales each
@@ -461,14 +456,12 @@ def run_incremental_protocol(energy: DifferentiableEnergy, dataset,
     if schedule[0] < k:
         raise ConfigError(
             f"first schedule point {schedule[0]} cannot cover {k} chains")
-    n_rows = int(dataset.n_rows)
-    if schedule[-1] > n_rows:
+    need = schedule[-1] + config.heldout_rows
+    if energy.n_rows is not None and need > energy.n_rows:
         raise ScheduleExhaustsData(
-            f"schedule needs {schedule[-1]} rows but the dataset has {n_rows}")
-    heldout = np.arange(schedule[-1], n_rows)
-    if heldout.size == 0:
-        raise EmptyHeldout(
-            "no rows left beyond the schedule for the held-out readout")
+            f"schedule point {schedule[-1]} and {config.heldout_rows} held-out "
+            f"rows need {need} rows but the dataset has {energy.n_rows}")
+    heldout = np.arange(schedule[-1], need)
     if isinstance(energy, QuadraticEnergy):
         lam_max = float(energy.eigenvalues.max())
         hk = config.step_size * (schedule[-1] * lam_max + config.prior_eps)

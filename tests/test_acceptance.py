@@ -35,14 +35,13 @@ from capmeter.learners import (
 )
 from capmeter.oracle import (
     HessianSpectrum,
-    PriorKind,
     pacbayes_effective_dim,
     quad_capacity_exact,
     quad_log_z,
     rlct_volume_estimate,
 )
 from capmeter.protocol import EnergyCurve, ProtocolConfig, estimate_avg_energy, run_protocol
-from capmeter.sgld import QuadraticEnergy, RowCount, SgldConfig, run_incremental_protocol
+from capmeter.sgld import QuadraticEnergy, SgldConfig, run_incremental_protocol
 
 
 # ---------------------------------------------------------------------------
@@ -139,11 +138,10 @@ def langevin_run():
     """Incremental Langevin protocol on the two-dimensional unit quadratic."""
     config = SgldConfig(step_size=0.002, n_schedule=(5, 10, 20, 40), chains=5,
                         equilibration_epochs=3000, samples_per_window=100000,
-                        batch_size=64, prior_eps=1.0, seed=20)
+                        batch_size=64, prior_eps=1.0, heldout_rows=1, seed=20)
     energy = QuadraticEnergy((1.0, 1.0))
     start = time.perf_counter()
-    result = run_incremental_protocol(energy, RowCount(41), config,
-                                      dataset_id="langevin-check")
+    result = run_incremental_protocol(energy, config, dataset_id="langevin-check")
     return result, time.perf_counter() - start
 
 
@@ -192,9 +190,9 @@ def test_criterion_01_capacity_matches_logz_curvature(record_property):
         for n in (10, 100, 1000):
             exact = quad_capacity_exact(spectrum, n)
             curvature = n * n * (
-                quad_log_z(spectrum, PriorKind.GAUSSIAN, n + 1)
-                - 2.0 * quad_log_z(spectrum, PriorKind.GAUSSIAN, n)
-                + quad_log_z(spectrum, PriorKind.GAUSSIAN, n - 1))
+                quad_log_z(spectrum, n + 1)
+                - 2.0 * quad_log_z(spectrum, n)
+                + quad_log_z(spectrum, n - 1))
             worst = max(worst, abs(curvature - exact) / exact)
     elapsed = time.perf_counter() - start
     record_property("detail", f"worst deviation {worst * 100:.3f}% (cap 2%), "
@@ -256,8 +254,8 @@ def test_criterion_04_poly_and_sigmoid_estimates_agree(
                                epsilon=0.5)
 
     def quad_energy_curve(n):
-        return (quad_log_z(spectrum, PriorKind.GAUSSIAN, n)
-                - quad_log_z(spectrum, PriorKind.GAUSSIAN, n + 1))
+        return (quad_log_z(spectrum, n)
+                - quad_log_z(spectrum, n + 1))
 
     synthetic = [
         ("quadratic", log_grid(20, 2000, 12),

@@ -34,7 +34,6 @@ from capmeter.learners import (
 from capmeter.protocol import ProtocolConfig, plan_experiment, run_protocol
 from capmeter.sgld import (
     QuadraticEnergy,
-    RowCount,
     SgldConfig,
     run_incremental_protocol,
 )
@@ -115,7 +114,7 @@ def test_kernels_are_called_through_the_module(monkeypatch):
     mlp_learner(hidden=2, epochs=1, batch=8).fit(data, rows, seed=0)
     config = SgldConfig(step_size=0.01, n_schedule=(2,), chains=1,
                         equilibration_epochs=1, samples_per_window=2, seed=0)
-    run_incremental_protocol(QuadraticEnergy([1.0]), RowCount(3), config)
+    run_incremental_protocol(QuadraticEnergy([1.0]), config)
     assert calls == {"logistic_newton_stack": 1, "mlp_sgd_stack": 1,
                      "sgld_chain_diag_quad": 1}
 

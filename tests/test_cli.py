@@ -6,6 +6,7 @@ surface (flag parsing, file formats, manifests, exit-code mapping) is
 covered without spawning subprocesses.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -33,6 +34,7 @@ from capmeter.protocol import (
     ingest_records,
     run_protocol,
 )
+from capmeter.sgld import SgldConfig
 
 
 def truth_energy(a, b, c, u_inf, n):
@@ -550,6 +552,21 @@ class TestOracle:
         assert cli.main(["oracle", "--lambda", "1,1", "--hm"]) == 2
         assert "--eps" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra, message", [
+        (["--lambda", "5,5,5"], "not allowed with argument --spectrum"),
+        (["--eps", "0.1"], "--eps is for --lambda"),
+    ], ids=["lambda", "eps"])
+    def test_spectrum_file_excludes_inline_values(self, tmp_path, capsys,
+                                                  extra, message):
+        # the file's values would otherwise be used and the flags ignored
+        path = tmp_path / "spec.txt"
+        save_spectrum(path, HessianSpectrum(eigenvalues=(2.0, 2.0), epsilon=1.0))
+        code = cli.main(["oracle", "--spectrum", str(path), "--hm"] + extra)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert captured.out == ""
+
 
 class TestCompare:
     def reports(self, tmp_path, flip_losses=False):
@@ -666,7 +683,8 @@ class TestSgld:
         code = cli.main(["sgld", "--learner", "knn", "--schedule", "5,10",
                          "--step", "0.01", "--out", str(tmp_path / "s")])
         assert code == 2
-        assert "learner not differentiable: knn" in capsys.readouterr().err
+        assert ("argument --learner: invalid choice: 'knn'"
+                in capsys.readouterr().err)
 
     def test_quadratic_capacity_matches_closed_form(self, tmp_path, capsys):
         out = tmp_path / "sgld.csv"
@@ -696,6 +714,38 @@ class TestSgld:
         assert code == 2
         assert "ScheduleExhaustsData" in capsys.readouterr().err
 
+    def write_csv(self, path, rows):
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(rows, 2))
+        path.write_text("".join(f"{float(a)!r},{float(b)!r},{int(a + b > 0)}\n"
+                                for a, b in x))
+
+    def test_data_holds_out_the_heldout_rows(self, tmp_path):
+        # the held-out pool is --heldout-rows rows from N_max on, not every
+        # row past N_max, and the manifest records the count that ran
+        csv, out = tmp_path / "d.csv", tmp_path / "s"
+        self.write_csv(csv, 60)
+        assert cli.main(["sgld", "--learner", "logistic", "--data", str(csv),
+                         "--schedule", "8,16", "--step", "0.01",
+                         "--chains", "2", "--equil", "2", "--samples", "3",
+                         "--heldout-rows", "10", "--out", str(out)]) == 0
+        assert {r.heldout_count for r in ingest_records(out)} == {3 * 10}
+        assert manifest_config(out)["heldout_rows"] == "10"
+
+    def test_data_shorter_than_the_heldout_rows_exits_2(self, tmp_path,
+                                                         capsys):
+        csv, out = tmp_path / "d.csv", tmp_path / "s"
+        self.write_csv(csv, 20)
+        code = cli.main(["sgld", "--learner", "logistic", "--data", str(csv),
+                         "--schedule", "8,16", "--step", "0.01",
+                         "--chains", "2", "--heldout-rows", "10",
+                         "--out", str(out)])
+        assert code == 2
+        assert ("error: ScheduleExhaustsData: schedule point 16 and 10 "
+                "held-out rows need 26 rows but the dataset has 20"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
     @pytest.mark.parametrize("rows", ["0", "-5"])
     def test_heldout_rows_below_one_exits_2(self, tmp_path, capsys, rows):
         code = cli.main(["sgld", "--learner", "logistic",
@@ -704,7 +754,7 @@ class TestSgld:
                          "--heldout-rows", rows, "--out", str(tmp_path / "s")])
         assert code == 2
         err = capsys.readouterr().err
-        assert f"--heldout-rows must be >= 1, got {rows}" in err
+        assert f"ConfigError: heldout_rows must be >= 1, got {rows}" in err
         assert not (tmp_path / "s").exists()
 
     def test_schedule_below_two_exits_2_before_sampling(self, tmp_path, capsys,
@@ -773,7 +823,8 @@ LIBRARY_FLAGS = {
     "run": ["--boots", "--folds", "--seeds", "--seed", "--l2", "--epochs",
             "--hidden", "--lr", "--batch", "--k", "--alpha", "--sigma"],
     "sgld": ["--chains", "--equil", "--samples", "--batch", "--prior-eps",
-             "--seed", "--hidden", "--lambda", "--synthetic", "--data"],
+             "--heldout-rows", "--seed", "--hidden", "--lambda", "--synthetic",
+             "--data"],
 }
 REQUIRED_ONLY = {
     "run": ["run", "--learner", "logistic", "--n-grid", "10,20", "--out", "r"],
@@ -835,6 +886,18 @@ class TestSettings:
         assert ({"--" + dest.replace("_", "-")
                  for reader in cli._READERS[command].values()
                  for dest in reader} == set(LIBRARY_FLAGS[command]))
+
+    @pytest.mark.parametrize("command, config", [("run", ProtocolConfig),
+                                                 ("sgld", SgldConfig)])
+    def test_every_config_field_has_one_flag(self, command, config):
+        # the required --n-grid, --schedule and --step set the other fields
+        fields = ({field.name for field in dataclasses.fields(config)}
+                  - {"step_size", "n_schedule", "n_grid"})
+        readers = cli._READERS[command]["config"]
+        assert sorted(readers.values()) == sorted(fields)
+        args = cli.build_parser().parse_args(REQUIRED_ONLY[command])
+        for dest in readers:
+            assert getattr(args, dest) is None, dest
 
     @pytest.mark.parametrize("learner, make", [("logistic", logistic_learner),
                                                ("knn", knn_learner)])

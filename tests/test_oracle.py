@@ -14,9 +14,9 @@ from capmeter.errors import (
     InvariantViolation,
     ParseError,
 )
+import capmeter.oracle
 from capmeter.oracle import (
     HessianSpectrum,
-    PriorKind,
     avg_energy_from_logz,
     box_sampler,
     load_spectrum,
@@ -61,35 +61,38 @@ class TestSpectrum:
 class TestQuadLogZ:
     def test_gaussian_worked_value(self):
         """Two unit eigenvalues at eps=1, N=10: log Z = -log 11."""
-        v = quad_log_z(spec([1.0, 1.0], 1.0), PriorKind.GAUSSIAN, 10)
+        v = quad_log_z(spec([1.0, 1.0], 1.0), 10)
         np.testing.assert_allclose(v, -math.log(11.0), rtol=1e-12)
 
     def test_uniform_worked_value(self):
-        v = quad_log_z(spec([2.0 * math.pi], 1.0), PriorKind.UNIFORM, 1)
+        v = quad_log_z(spec([2.0 * math.pi], 0.0), 1)
         assert v == pytest.approx(0.0, abs=1e-12)
 
     def test_offset_worked_value(self):
         """Unit eigenvalue, unit offset, N=1: frozen from a hand evaluation
         of 0.5*log(1/2) - eps/2 + eps^2/4."""
-        v = quad_log_z(spec([1.0], 1.0, offsets=[1.0]), PriorKind.GAUSSIAN, 1)
+        v = quad_log_z(spec([1.0], 1.0, offsets=[1.0]), 1)
         np.testing.assert_allclose(v, -0.5965735902799727, rtol=1e-12)
 
     def test_uniform_ignores_offsets(self):
-        a = quad_log_z(spec([3.0], 1.0), PriorKind.UNIFORM, 5)
-        b = quad_log_z(spec([3.0], 1.0, offsets=[7.0]), PriorKind.UNIFORM, 5)
+        a = quad_log_z(spec([3.0], 0.0), 5)
+        b = quad_log_z(spec([3.0], 0.0, offsets=[7.0]), 5)
         assert a == b
 
     def test_uniform_divergent(self):
         with pytest.raises(DivergentPartition):
-            quad_log_z(spec([1.0, 0.0], 1.0), PriorKind.UNIFORM, 3)
+            quad_log_z(spec([1.0, 0.0], 0.0), 3)
 
-    def test_gaussian_zero_epsilon_divergent(self):
-        with pytest.raises(DivergentPartition):
-            quad_log_z(spec([1.0], 0.0), PriorKind.GAUSSIAN, 3)
+    def test_zero_epsilon_is_the_flat_prior(self):
+        # epsilon 0 reads as the flat prior, as prior_eps 0 does in the
+        # sampler: 0.5 * sum(log(2*pi / (n*lam))), bitwise
+        lam = np.array([3.0, 1.0, 0.25])
+        assert quad_log_z(spec(lam, 0.0), 7) == float(
+            0.5 * np.sum(np.log(2.0 * np.pi / (7.0 * lam))))
 
     def test_gaussian_negative_eigenvalue(self):
         with pytest.raises(InvalidSpectrum):
-            quad_log_z(spec([-1.0], 1.0), PriorKind.GAUSSIAN, 3)
+            quad_log_z(spec([-1.0], 1.0), 3)
 
 
 class TestQuadCapacityExact:
@@ -110,7 +113,7 @@ class TestQuadCapacityExact:
         s = spec([1.0, 4.0], 2.0)
         for n in (3, 17, 240):
             h = 1e-3 * n
-            f = lambda x: quad_log_z(s, PriorKind.GAUSSIAN, x)
+            f = lambda x: quad_log_z(s, x)
             fd = n * n * (f(n - h) - 2.0 * f(n) + f(n + h)) / (h * h)
             np.testing.assert_allclose(fd, quad_capacity_exact(s, n), rtol=1e-6)
 
@@ -122,7 +125,7 @@ class TestQuadCapacityExact:
             p = int(rng.integers(1, 21))
             s = spec(rng.uniform(1e-3, 10.0, size=p), float(rng.uniform(1e-2, 1.0)))
             for n in (10, 100, 1000):
-                f = lambda x: quad_log_z(s, PriorKind.GAUSSIAN, x)
+                f = lambda x: quad_log_z(s, x)
                 fd = n * n * (f(n - 1) - 2.0 * f(n) + f(n + 1))
                 np.testing.assert_allclose(fd, quad_capacity_exact(s, n), rtol=0.02)
 
@@ -248,7 +251,7 @@ class TestEpsilonDefault:
 class TestAvgEnergy:
     def test_quadratic_worked_value(self):
         s = spec([1.0], 1.0)
-        u = avg_energy_from_logz(lambda n: quad_log_z(s, PriorKind.GAUSSIAN, n), 10)
+        u = avg_energy_from_logz(lambda n: quad_log_z(s, n), 10)
         np.testing.assert_allclose(u, 0.5 * math.log(12.0 / 11.0), rtol=1e-12)
 
     def test_flat_logz(self):
@@ -281,12 +284,14 @@ class TestRlctEstimate:
             rlct_volume_estimate(_quad_energy, box_sampler(2), eps=1e-9,
                                  a=2.0, n_samples=2_000, seed=7)
 
-    def test_batching_does_not_change_counts(self):
-        a = rlct_volume_estimate(_quad_energy, box_sampler(2), eps=0.02,
-                                 a=2.0, n_samples=50_000, seed=8, batch=1 << 20)
-        b = rlct_volume_estimate(_quad_energy, box_sampler(2), eps=0.02,
-                                 a=2.0, n_samples=50_000, seed=8, batch=977)
-        assert (a.hits_low, a.hits_high) == (b.hits_low, b.hits_high)
+    def test_batching_does_not_change_counts(self, monkeypatch):
+        counts = []
+        for block in (1 << 20, 977):
+            monkeypatch.setattr(capmeter.oracle, "_DRAW_BLOCK", block)
+            est = rlct_volume_estimate(_quad_energy, box_sampler(2), eps=0.02,
+                                       a=2.0, n_samples=50_000, seed=8)
+            counts.append((est.hits_low, est.hits_high))
+        assert counts[0] == counts[1]
 
 
 class TestSpectrumFiles:
@@ -311,6 +316,28 @@ class TestSpectrumFiles:
         with pytest.raises(ParseError) as err:
             load_spectrum(path)
         assert err.value.line == 3
+
+    @pytest.mark.parametrize("text, line, message", [
+        ("# note\n# epsilon=abc\n1.0\n", 2, "bad epsilon value 'abc'"),
+        ("# epsilon=1.0\n2.0\n#  Offsets = 1.0, x\n", 3,
+         "bad offsets list '1.0, x'"),
+    ], ids=["epsilon", "offsets"])
+    def test_bad_value_reports_its_line(self, tmp_path, text, line, message):
+        path = tmp_path / "spec.txt"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=message) as err:
+            load_spectrum(path)
+        assert err.value.line == line
+
+    def test_header_keys_allow_spaces_and_any_case(self, tmp_path):
+        # a later header line wins
+        path = tmp_path / "spec.txt"
+        path.write_text("# epsilon=9\n#EPSILON = 0.5\n# offsets= 1, 2 \n"
+                        "1.0\n3.0\n")
+        s = load_spectrum(path)
+        assert s.epsilon == 0.5
+        np.testing.assert_array_equal(s.eigenvalues, [3.0, 1.0])
+        np.testing.assert_array_equal(s.offsets, [2.0, 1.0])
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "spec.txt"

@@ -14,7 +14,6 @@ import pytest
 
 from capmeter.errors import (
     ConfigError,
-    EmptyHeldout,
     InvalidArgument,
     NonFiniteState,
     ScheduleExhaustsData,
@@ -22,7 +21,7 @@ from capmeter.errors import (
 import capmeter.sgld
 from capmeter import kernels
 from capmeter.learners import Dataset, SyntheticConfig, gen_synthetic
-from capmeter.oracle import HessianSpectrum, PriorKind, quad_log_z
+from capmeter.oracle import HessianSpectrum, quad_log_z
 from capmeter.protocol import EnergyRecord, derive_rng, estimate_avg_energy
 from capmeter.sgld import (
     ChainFailure,
@@ -30,7 +29,6 @@ from capmeter.sgld import (
     LogisticEnergy,
     MlpEnergy,
     QuadraticEnergy,
-    RowCount,
     SgldConfig,
     run_incremental_protocol,
     sgld_step,
@@ -68,6 +66,7 @@ class TestSgldConfig:
         assert cfg.chains == 10
         assert cfg.equilibration_epochs == 20
         assert cfg.samples_per_window == 10
+        assert cfg.heldout_rows == 256
         assert cfg.n_schedule == (10, 20)
 
     def test_rejects_bad_step(self):
@@ -352,8 +351,7 @@ class TestQuadraticMatchedLogistic:
         const = math.log(2.0) - 0.5 * float(g @ g) / curv
         spectrum = HessianSpectrum(eigenvalues=(curv, curv), epsilon=eps,
                                    offsets=tuple(offsets))
-        u_quad = const + (quad_log_z(spectrum, PriorKind.GAUSSIAN, n)
-                          - quad_log_z(spectrum, PriorKind.GAUSSIAN, n + 1))
+        u_quad = const + (quad_log_z(spectrum, n) - quad_log_z(spectrum, n + 1))
         target = 1.0 - math.exp(-u_quad)
 
         rng = np.random.default_rng(41)
@@ -397,28 +395,52 @@ class WrappedQuadratic(DifferentiableEnergy):
 class TestIncrementalProtocol:
     def config(self, **kw):
         base = dict(step_size=0.003, n_schedule=(5, 10), chains=4,
-                    equilibration_epochs=200, samples_per_window=400, seed=3)
+                    equilibration_epochs=200, samples_per_window=400,
+                    heldout_rows=1, seed=3)
         base.update(kw)
         return SgldConfig(**base)
 
     def test_schedule_beyond_dataset_rejected(self):
-        with pytest.raises(ScheduleExhaustsData):
-            run_incremental_protocol(QuadraticEnergy([1.0]), RowCount(8),
-                                     self.config())
+        # N_max 10 and one held-out row need 11 rows
+        data = tiny_logistic_dataset()
+        for n_rows in (8, 10):
+            energy = LogisticEnergy(Dataset(data.inputs[:n_rows],
+                                            data.labels[:n_rows], m_classes=2))
+            with pytest.raises(ScheduleExhaustsData) as err:
+                run_incremental_protocol(energy, self.config())
+            assert str(err.value) == (
+                "schedule point 10 and 1 held-out rows need 11 rows but the "
+                f"dataset has {n_rows}")
 
     def test_no_heldout_rows_rejected(self):
-        with pytest.raises(EmptyHeldout):
-            run_incremental_protocol(QuadraticEnergy([1.0]), RowCount(10),
-                                     self.config())
+        with pytest.raises(ConfigError, match="heldout_rows must be >= 1, got 0"):
+            self.config(heldout_rows=0)
+
+    def test_heldout_rows_follow_the_config(self):
+        # the held-out pool is the heldout_rows rows from N_max on, not
+        # every row past N_max
+        seen = []
+
+        class RecordingLogistic(LogisticEnergy):
+            def heldout_means(self, samples, rows):
+                seen.append(np.asarray(rows).tolist())
+                return super().heldout_means(samples, rows)
+
+        energy = RecordingLogistic(tiny_logistic_dataset())
+        result = run_incremental_protocol(
+            energy, self.config(heldout_rows=3, equilibration_epochs=2,
+                                samples_per_window=4))
+        assert seen == [[10, 11, 12], [10, 11, 12]]
+        assert {r.heldout_count for r in result.records} == {4 * 3}
 
     def test_schedule_must_cover_chains(self):
         with pytest.raises(ConfigError):
-            run_incremental_protocol(QuadraticEnergy([1.0]), RowCount(30),
+            run_incremental_protocol(QuadraticEnergy([1.0]),
                                      self.config(n_schedule=(3, 10)))
 
     def test_record_layout(self):
         result = run_incremental_protocol(QuadraticEnergy([1.0, 1.0]),
-                                          RowCount(11), self.config())
+                                          self.config())
         assert result.curve.scale == "probability-complement"
         assert len(result.curve) == 2
         assert list(result.curve.record_count) == [4, 4]
@@ -435,9 +457,9 @@ class TestIncrementalProtocol:
             assert pooled == pytest.approx(result.curve.u_mean[idx], rel=1e-12)
 
     def test_deterministic_given_seed(self):
-        a = run_incremental_protocol(QuadraticEnergy([1.0, 1.0]), RowCount(11),
+        a = run_incremental_protocol(QuadraticEnergy([1.0, 1.0]),
                                      self.config())
-        b = run_incremental_protocol(QuadraticEnergy([1.0, 1.0]), RowCount(11),
+        b = run_incremental_protocol(QuadraticEnergy([1.0, 1.0]),
                                      self.config())
         np.testing.assert_array_equal(a.curve.u_mean, b.curve.u_mean)
         assert a.records == b.records
@@ -445,10 +467,8 @@ class TestIncrementalProtocol:
 
     def test_fused_and_generic_paths_agree_bitwise(self):
         cfg = self.config(equilibration_epochs=50, samples_per_window=60)
-        fused = run_incremental_protocol(QuadraticEnergy([1.0, 0.5]),
-                                         RowCount(11), cfg)
-        generic = run_incremental_protocol(WrappedQuadratic([1.0, 0.5]),
-                                           RowCount(11), cfg)
+        fused = run_incremental_protocol(QuadraticEnergy([1.0, 0.5]), cfg)
+        generic = run_incremental_protocol(WrappedQuadratic([1.0, 0.5]), cfg)
         np.testing.assert_array_equal(fused.curve.u_mean, generic.curve.u_mean)
         np.testing.assert_array_equal(fused.curve.u_stderr, generic.curve.u_stderr)
         for x, y in zip(fused.records, generic.records):
@@ -461,10 +481,8 @@ class TestIncrementalProtocol:
         # chain is minibatched
         cfg = self.config(n_schedule=(5, 10, 12, 20), chains=5, batch_size=2,
                           equilibration_epochs=30, samples_per_window=40)
-        fused = run_incremental_protocol(QuadraticEnergy([1.0, 0.5, 2.0]),
-                                         RowCount(21), cfg)
-        generic = run_incremental_protocol(WrappedQuadratic([1.0, 0.5, 2.0]),
-                                           RowCount(21), cfg)
+        fused = run_incremental_protocol(QuadraticEnergy([1.0, 0.5, 2.0]), cfg)
+        generic = run_incremental_protocol(WrappedQuadratic([1.0, 0.5, 2.0]), cfg)
         assert [np.arange(c, 12, 5).size for c in range(5)] == [3, 3, 2, 2, 2]
         np.testing.assert_array_equal(fused.curve.u_mean, generic.curve.u_mean)
         np.testing.assert_array_equal(fused.curve.u_stderr, generic.curve.u_stderr)
@@ -479,9 +497,8 @@ class TestIncrementalProtocol:
         # sample sizes 5 and 10 make a reordered product change them
         cfg = SgldConfig(step_size=0.003, n_schedule=(5, 10, 20), chains=5,
                          equilibration_epochs=50, samples_per_window=60,
-                         seed=11)
-        result = run_incremental_protocol(QuadraticEnergy([1.0, 0.3]),
-                                          RowCount(21), cfg)
+                         heldout_rows=1, seed=11)
+        result = run_incremental_protocol(QuadraticEnergy([1.0, 0.3]), cfg)
         assert list(result.curve.u_mean) == [
             0.053433629959018694, 0.10205927122296224, 0.07234074481032678]
         assert list(result.curve.u_stderr) == [
@@ -497,10 +514,10 @@ class TestIncrementalProtocol:
         lam = [1.1, 0.3, 2.3, 0.0, 1.7, 0.45]
         assert 8 * len(lam) > kernels._SCALAR_COORDS
         cfg = self.config(n_schedule=(9, 15), chains=8,
-                          equilibration_epochs=100, samples_per_window=100)
-        fused = run_incremental_protocol(QuadraticEnergy(lam), RowCount(17), cfg)
-        generic = run_incremental_protocol(WrappedQuadratic(lam), RowCount(17),
-                                           cfg)
+                          equilibration_epochs=100, samples_per_window=100,
+                          heldout_rows=2)
+        fused = run_incremental_protocol(QuadraticEnergy(lam), cfg)
+        generic = run_incremental_protocol(WrappedQuadratic(lam), cfg)
         np.testing.assert_array_equal(fused.curve.u_mean, generic.curve.u_mean)
         np.testing.assert_array_equal(fused.curve.u_stderr, generic.curve.u_stderr)
         assert fused.records == generic.records
@@ -515,7 +532,7 @@ class TestIncrementalProtocol:
         # QuadraticEnergy, whose spectrum it sees, but runs WrappedQuadratic
         return SgldConfig(step_size=0.4, n_schedule=(5, 10), chains=5,
                           equilibration_epochs=equilibration_epochs,
-                          samples_per_window=20, seed=3)
+                          samples_per_window=20, heldout_rows=1, seed=3)
 
     def diverging_windows(self, window, equilibration_epochs):
         """The kept mask, final states and samples of each window of the
@@ -548,8 +565,7 @@ class TestIncrementalProtocol:
     def test_diverging_chain_is_dropped_as_before(self):
         cfg = self.diverging_config(3860)
         with np.errstate(all="ignore"):
-            generic = run_incremental_protocol(WrappedQuadratic([1.0, 0.5]),
-                                               RowCount(11), cfg)
+            generic = run_incremental_protocol(WrappedQuadratic([1.0, 0.5]), cfg)
             self.assert_windows_agree(self.diverging_windows("fused", 3860),
                                       self.diverging_windows("stacked", 3860),
                                       dropped=[2])
@@ -558,7 +574,7 @@ class TestIncrementalProtocol:
             detail="langevin update produced a non-finite state"),)
         assert list(generic.curve.record_count) == [5, 4]
         with pytest.raises(ConfigError, match="N=10, lambda_max=1.0"):
-            run_incremental_protocol(QuadraticEnergy([1.0, 0.5]), RowCount(11),
+            run_incremental_protocol(QuadraticEnergy([1.0, 0.5]),
                                      cfg)
 
     @pytest.mark.parametrize("scalar_coords", [10**6, -1],
@@ -582,14 +598,13 @@ class TestIncrementalProtocol:
         cfg = self.diverging_config(3864)
         with np.errstate(all="ignore"):
             with pytest.raises(NonFiniteState) as err:
-                run_incremental_protocol(WrappedQuadratic([1.0, 0.5]),
-                                         RowCount(11), cfg)
+                run_incremental_protocol(WrappedQuadratic([1.0, 0.5]), cfg)
             self.assert_windows_agree(self.diverging_windows("fused", 3864),
                                       self.diverging_windows("stacked", 3864),
                                       dropped=[2, 3, 4])
         assert str(err.value) == message
         with pytest.raises(ConfigError, match="N=10, lambda_max=1.0"):
-            run_incremental_protocol(QuadraticEnergy([1.0, 0.5]), RowCount(11),
+            run_incremental_protocol(QuadraticEnergy([1.0, 0.5]),
                                      cfg)
 
     @pytest.mark.parametrize("step, refused", [(0.25, True), (0.2499, False)])
@@ -602,18 +617,18 @@ class TestIncrementalProtocol:
 
         cfg = SgldConfig(step_size=step, n_schedule=(5, 10), chains=2,
                          equilibration_epochs=2, samples_per_window=3,
-                         prior_eps=6.0)
+                         prior_eps=6.0, heldout_rows=1)
         energy = QuadraticEnergy([0.5, 1.0])
         if refused:
             monkeypatch.setattr(capmeter.sgld, "_window_quadratic", no_sampling)
             monkeypatch.setattr(capmeter.sgld, "_window_stack", no_sampling)
             with pytest.raises(ConfigError) as err:
-                run_incremental_protocol(energy, RowCount(11), cfg)
+                run_incremental_protocol(energy, cfg)
             assert str(err.value) == (
                 "step 0.25 is unstable at N=10, lambda_max=1.0: "
                 "h*(N*lambda_max + prior_eps) = 4.0 must be < 4")
         else:
-            result = run_incremental_protocol(energy, RowCount(11), cfg)
+            result = run_incremental_protocol(energy, cfg)
             assert list(result.curve.record_count) == [2, 2]
 
     @pytest.mark.parametrize("schedule, chains", [
@@ -649,8 +664,9 @@ class TestIncrementalProtocol:
 
         energy = RowRecording()
         cfg = SgldConfig(step_size=0.01, n_schedule=schedule, chains=chains,
-                         equilibration_epochs=1, samples_per_window=2, seed=0)
-        run_incremental_protocol(energy, RowCount(schedule[-1] + 1), cfg)
+                         equilibration_epochs=1, samples_per_window=2,
+                         heldout_rows=1, seed=0)
+        run_incremental_protocol(energy, cfg)
         assert energy.points[-1] == Counter()
         assert energy.points[:-1] == [
             Counter({tuple(range(c, n, chains)): 3 for c in range(chains)})
@@ -659,7 +675,7 @@ class TestIncrementalProtocol:
     def test_minibatched_path_runs(self):
         cfg = self.config(batch_size=1, equilibration_epochs=30,
                           samples_per_window=40)
-        result = run_incremental_protocol(QuadraticEnergy([1.0]), RowCount(11), cfg)
+        result = run_incremental_protocol(QuadraticEnergy([1.0]), cfg)
         assert np.all(np.isfinite(result.curve.u_mean))
 
     def test_quadratic_curve_matches_partition_oracle(self):
@@ -669,9 +685,8 @@ class TestIncrementalProtocol:
         # -N^2 [log Z(N+delta) - ... ] evaluated stepwise below.
         cfg = SgldConfig(step_size=0.003, n_schedule=(5, 10), chains=4,
                          equilibration_epochs=3_000, samples_per_window=30_000,
-                         seed=3)
-        result = run_incremental_protocol(QuadraticEnergy([1.0, 1.0]),
-                                          RowCount(11), cfg)
+                         heldout_rows=1, seed=3)
+        result = run_incremental_protocol(QuadraticEnergy([1.0, 1.0]), cfg)
         for n, u in zip(result.curve.n, result.curve.u_mean):
             target = 1.0 / (n + 2.0)
             assert abs(u - target) <= 0.05 * target
@@ -691,8 +706,8 @@ class TestIncrementalProtocol:
         energy = LogisticEnergy(ds)
         cfg = SgldConfig(step_size=0.01, n_schedule=(30, 60, 120), chains=3,
                          equilibration_epochs=300, samples_per_window=300,
-                         prior_eps=1.0, seed=9)
-        result = run_incremental_protocol(energy, ds, cfg)
+                         prior_eps=1.0, heldout_rows=280, seed=9)
+        result = run_incremental_protocol(energy, cfg)
         u, se = result.curve.u_mean, result.curve.u_stderr
         for i in range(len(u) - 1):
             assert u[i + 1] <= u[i] + math.hypot(se[i], se[i + 1])
@@ -714,8 +729,9 @@ class TestIncrementalProtocol:
                 return np.full(np.shape(weights)[:-1] + np.shape(rows)[-1:], 0.5)
 
         cfg = SgldConfig(step_size=0.01, n_schedule=(4, 8), chains=4,
-                         equilibration_epochs=5, samples_per_window=5, seed=0)
-        result = run_incremental_protocol(FailsOnRowZero(), RowCount(9), cfg)
+                         equilibration_epochs=5, samples_per_window=5,
+                         heldout_rows=1, seed=0)
+        result = run_incremental_protocol(FailsOnRowZero(), cfg)
         assert len(result.failures) == 1
         assert result.failures[0].chain == 0
         assert result.failures[0].sample_size == 4
@@ -738,9 +754,10 @@ class TestIncrementalProtocol:
                 return np.full(np.shape(weights)[:-1] + np.shape(rows)[-1:], 0.5)
 
         cfg = SgldConfig(step_size=0.01, n_schedule=(4,), chains=4,
-                         equilibration_epochs=5, samples_per_window=5, seed=0)
+                         equilibration_epochs=5, samples_per_window=5,
+                         heldout_rows=5, seed=0)
         with pytest.raises(NonFiniteState):
-            run_incremental_protocol(AlwaysFails(), RowCount(9), cfg)
+            run_incremental_protocol(AlwaysFails(), cfg)
 
 
 def _reference_heldout_means(energy, samples, rows):
@@ -749,14 +766,14 @@ def _reference_heldout_means(energy, samples, rows):
                      for w in samples])
 
 
-def _reference_protocol(energy, dataset, config, dataset_id="sgld"):
+def _reference_protocol(energy, config, dataset_id="sgld"):
     """run_incremental_protocol for energies outside the fused kernel, one
     sgld_step per minibatch and chain, chain after chain, and one
     prob_on_rows call per held-out sample; its curve aggregates the records
     with estimate_avg_energy."""
     schedule, k = config.n_schedule, config.chains
     batch, m = config.batch_size, config.samples_per_window
-    heldout = np.arange(schedule[-1], dataset.n_rows)
+    heldout = np.arange(schedule[-1], schedule[-1] + config.heldout_rows)
     pools = [np.empty(0, dtype=np.int64)] * k
     states = [np.zeros(energy.dim) for _ in range(k)]
     noise_rngs = [derive_rng(config.seed, c, 0) for c in range(k)]
@@ -864,9 +881,10 @@ class TestStackedWindow:
         energy = make_energy()
         cfg = SgldConfig(step_size=1e-3, n_schedule=schedule, chains=3,
                          equilibration_epochs=5, samples_per_window=7,
-                         batch_size=batch, prior_eps=prior_eps, seed=4)
-        result = run_incremental_protocol(energy, energy.dataset, cfg)
-        reference = _reference_protocol(energy, energy.dataset, cfg)
+                         batch_size=batch, prior_eps=prior_eps,
+                         heldout_rows=110 - schedule[-1], seed=4)
+        result = run_incremental_protocol(energy, cfg)
+        reference = _reference_protocol(energy, cfg)
         assert_matches_reference(result, reference)
         assert list(result.curve.record_count) == [3, 3]
 
@@ -876,14 +894,14 @@ class TestStackedWindow:
         # chains share one stack
         return SgldConfig(step_size=1e-3, n_schedule=(9, 24, 39), chains=3,
                           equilibration_epochs=5, samples_per_window=7,
-                          batch_size=4, seed=1)
+                          batch_size=4, heldout_rows=71, seed=1)
 
     def test_chain_going_non_finite_mid_window(self):
         data = logistic_energy().dataset
         energy = PoisonedLogistic(data, [12])
         with np.errstate(invalid="ignore"):
-            result = run_incremental_protocol(energy, data, self.config())
-            reference = _reference_protocol(energy, data, self.config())
+            result = run_incremental_protocol(energy, self.config())
+            reference = _reference_protocol(energy, self.config())
         assert result.failures == (ChainFailure(
             chain=0, sample_size=24,
             detail="langevin update produced a non-finite state"),)
@@ -895,9 +913,9 @@ class TestStackedWindow:
         energy = PoisonedLogistic(data, [12, 13])
         with np.errstate(invalid="ignore"):
             with pytest.raises(NonFiniteState) as got:
-                run_incremental_protocol(energy, data, self.config())
+                run_incremental_protocol(energy, self.config())
             with pytest.raises(NonFiniteState) as want:
-                _reference_protocol(energy, data, self.config())
+                _reference_protocol(energy, self.config())
         assert str(got.value) == str(want.value) == (
             "only 1 of 3 chains survived to sample size 24: "
             "chain 0 at N=24; chain 1 at N=24")
