@@ -622,7 +622,8 @@ def fit_sigmoid_capacity(curve: EnergyCurve) -> SigmoidCapacityModel:
     C(N) keeps a stderr.
 
     Raises:
-        DegenerateCurve: fewer than 5 points.
+        DegenerateCurve: fewer than 5 points, or a singular covariance
+            whose (a, u_inf) block is singular too.
         FitDiverged: no grid shape gives a finite cost.
     """
     if len(curve) < 5:
@@ -663,7 +664,12 @@ def fit_sigmoid_capacity(curve: EnergyCurve) -> SigmoidCapacityModel:
     cov = np.zeros((4, 4))
     if singular:
         lin = jac[:, [0, 3]]
-        cov[np.ix_([0, 3], [0, 3])] = np.linalg.inv(lin.T @ lin) * s2
+        try:
+            cov[np.ix_([0, 3], [0, 3])] = np.linalg.inv(lin.T @ lin) * s2
+        except np.linalg.LinAlgError:
+            raise DegenerateCurve(
+                "sigmoid covariance is singular: the weighted curve leaves "
+                "(a, u_inf) undetermined") from None
     else:
         cov_int = np.linalg.inv(scaled.T @ scaled) / np.outer(norms, norms) * s2
         # (a, log n*, log c, u_inf) -> (a, b, c, u_inf), with b = c log n*
@@ -717,11 +723,11 @@ class Guidance(enum.Enum):
     UNDETERMINED = "undetermined"
 
 
-def freezing_threshold(model: SigmoidCapacityModel, n_current=None):
+def freezing_threshold(model: SigmoidCapacityModel, n_current):
     """Sigmoid midpoint n* = exp(b/c) where capacity reaches a/2.
 
-    With ``n_current`` supplied, also returns a guidance tag: below n*
-    more data helps most; beyond 10 n* the capacity has frozen and a
+    Also returns a guidance tag for ``n_current``: below n* more data
+    helps most; beyond 10 n* the capacity has frozen and a
     different architecture is the lever; in between is the transition.
     For a fit that is not identified the guidance is undetermined, and
     n* is the one bound its profile interval gives (inf when it gives
@@ -741,8 +747,6 @@ def freezing_threshold(model: SigmoidCapacityModel, n_current=None):
             n_star = math.inf
     else:
         n_star = lo if lo > 0.0 else hi
-    if n_current is None:
-        return n_star, None
     if not model.identified:
         guidance = Guidance.UNDETERMINED
     elif n_current < n_star:

@@ -405,10 +405,6 @@ class LogisticModel(PredictiveModel):
         self.m_classes = m_classes
         self.iterations = iterations
 
-    @property
-    def n_params(self) -> int:
-        return int(self.weights.size)
-
     def class_log_probs(self, inputs):
         return logistic_log_probs(self.weights, inputs)
 
@@ -516,10 +512,6 @@ class MlpModel(PredictiveModel):
         self.params = params
         self.m_classes = m_classes
         self.final_loss = final_loss
-
-    @property
-    def n_params(self) -> int:
-        return int(sum(p.size for p in self.params))
 
     def class_log_probs(self, inputs):
         return mlp_log_probs(self.params, inputs)

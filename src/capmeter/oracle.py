@@ -194,42 +194,6 @@ def pacbayes_bound(spectrum: HessianSpectrum, n: int, kappa: float,
     return (log_terms + 2.0 / kappa + eps * dist_sq) / (4.0 * (n - 1))
 
 
-class EpsilonDefault(NamedTuple):
-    value: float
-    clamped: bool
-
-
-def pacbayes_epsilon_default(spectrum: HessianSpectrum) -> EpsilonDefault:
-    """Data-driven default prior precision for the PAC-Bayes bound.
-
-    ``-2 * HM(lam) * sum(log lam_i)`` with ``HM`` the harmonic mean,
-    floored at 1e-8.  ``clamped`` reports whether the floor was applied
-    (it fires when the spectrum's log-determinant is non-negative).
-    The spectrum's own epsilon field is not consulted.
-    """
-    lam = spectrum.eigenvalues
-    if np.any(lam <= 0.0):
-        raise InvalidSpectrum("epsilon default needs eigenvalues > 0")
-    hm = lam.size / float(np.sum(1.0 / lam))
-    raw = -2.0 * hm * float(np.sum(np.log(lam)))
-    floor = 1e-8
-    if raw < floor:
-        return EpsilonDefault(floor, True)
-    return EpsilonDefault(raw, False)
-
-
-def avg_energy_from_logz(logz: Callable[[int], float], n: int) -> float:
-    """Average energy as an integer-step difference of log partition values.
-
-    ``U(n) = logz(n) - logz(n+1)``: the discrete analogue of the negative
-    derivative in sample size.
-    """
-    n = int(n)
-    if n < 1:
-        raise InvalidArgument(f"sample size must be >= 1, got {n}")
-    return float(logz(n)) - float(logz(n + 1))
-
-
 class RlctEstimate(NamedTuple):
     value: float
     stderr: float
@@ -294,17 +258,6 @@ def rlct_volume_estimate(energy: Callable[[np.ndarray], np.ndarray],
     return RlctEstimate(float(value), stderr, hits_low, hits_high)
 
 
-def box_sampler(dim: int, half_width: float = 1.0):
-    """Uniform sampler over the centered box [-half_width, half_width]^dim."""
-    if dim < 1 or not (np.isfinite(half_width) and half_width > 0.0):
-        raise InvalidArgument("box sampler needs dim >= 1 and half_width > 0")
-
-    def draw(rng: np.random.Generator, m: int) -> np.ndarray:
-        return rng.uniform(-half_width, half_width, size=(m, dim))
-
-    return draw
-
-
 # ---------------------------------------------------------------------------
 # spectrum files: one eigenvalue per line, '#' header lines carrying
 # key=value pairs (epsilon required, offsets optional, comma-separated)
@@ -343,13 +296,3 @@ def load_spectrum(path) -> HessianSpectrum:
         raise InvariantViolation(f"{path}: no eigenvalues")
     return HessianSpectrum(np.array(eigenvalues), epsilon, offsets)
 
-
-def save_spectrum(path, spectrum: HessianSpectrum) -> None:
-    """Write a spectrum in the format read by :func:`load_spectrum`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# epsilon={float(spectrum.epsilon)!r}\n")
-        if spectrum.offsets is not None:
-            fh.write("# offsets="
-                     + ",".join(repr(float(b)) for b in spectrum.offsets) + "\n")
-        for lam in spectrum.eigenvalues:
-            fh.write(f"{float(lam)!r}\n")

@@ -36,7 +36,6 @@ from .errors import (
     InvariantViolation,
     NonFinite,
     ParseError,
-    TrainingFailure,
 )
 
 RECORD_HEADER = "dataset_id,sample_size,boot_index,fold_index,seed_index,nll_sum,heldout_count"
@@ -346,30 +345,6 @@ def estimate_avg_energy(records, scale: str = "nll") -> EnergyCurve:
         counts.append(sum(len(g) for g in reps.values()))
     return EnergyCurve(np.array(ns), np.array(means), np.array(errs),
                        np.array(counts), scale=scale)
-
-
-def loocv_avg_energy(learner, dataset, seed: int = 0) -> float:
-    """Leave-one-out estimate of the average energy.
-
-    Trains one model per row on the other N-1 rows, as one group of
-    equal-size jobs, and averages the clamped held-out NLL of the left-out
-    row.  Cost is N trainings, so keep N small (<= 200 or so).
-    """
-    n = dataset.n_rows
-    if n < 2:
-        raise InvalidArgument("leave-one-out needs at least 2 rows")
-    all_rows = np.arange(n)
-    jobs = [Job(n, 0, i, 0, seed, np.delete(all_rows, i), np.array([i]))
-            for i in range(n)]
-    try:
-        results = _evaluate_group(dataset, learner, jobs, "loocv")
-    except TrainingFailure as exc:
-        raise TrainingFailure(
-            f"leave-one-out fit failed at row {exc.job.fold_index}: {exc}") from exc
-    total = 0.0
-    for record, _ in results:
-        total += record.nll_sum
-    return total / n
 
 
 # ---------------------------------------------------------------------------

@@ -14,12 +14,14 @@ are held out.  It advances the live chains of a schedule point together.
 Chains whose pools hold equally many rows form one ``(chains, dim)`` state
 that takes one gradient call per minibatch, each chain with its own
 minibatch order and its own noise stream, so every trajectory is bitwise
-the one ``sgld_step`` would take.  Quadratic chains whose pool fits one
-batch run in the fused kernel instead, which steps a state of up to
-``kernels._SCALAR_COORDS`` coordinates in Python floats and a larger one
-in numpy, with the same bits either way.  The held-out
-readout scores every sample of every chain at a schedule point in one
-``heldout_means`` call.
+the one a single chain would take under the Langevin update ``w - (h/2) *
+(N * grad + prior_eps * w) + sqrt(h) * noise``, one minibatch at a time;
+``tests/test_sgld.py`` keeps that single-chain update as the reference.
+Quadratic chains whose pool fits one batch run in the fused kernel
+instead, which steps a state of up to ``kernels._SCALAR_COORDS``
+coordinates in Python floats and a larger one in numpy, with the same bits
+either way.  The held-out readout scores every sample of every chain at
+a schedule point in one ``heldout_means`` call.
 """
 
 from __future__ import annotations
@@ -55,7 +57,6 @@ __all__ = [
     "MlpEnergy",
     "ChainFailure",
     "SgldResult",
-    "sgld_step",
     "run_incremental_protocol",
 ]
 
@@ -301,30 +302,6 @@ class MlpEnergy(_ClassifierEnergy):
         return np.concatenate([g.reshape(lead + (-1,)) for g in grads], axis=-1)
 
 
-def sgld_step(weights, energy: DifferentiableEnergy, rows, sample_size: int,
-              step_size: float, rng: np.random.Generator,
-              prior_eps: float) -> np.ndarray:
-    """One Langevin update of the chain state.
-
-    Drifts half a step down the gradient of ``sample_size * mean-loss``
-    over the given rows plus the Gaussian prior's pull ``prior_eps * w``
-    (none at ``prior_eps = 0``, the flat prior) and adds noise of variance
-    ``step_size`` per coordinate.  Raises NonFiniteState if the update
-    leaves the finite domain.
-    """
-    w = np.asarray(weights, dtype=np.float64)
-    rows = np.asarray(rows, dtype=np.int64)
-    if rows.size == 0:
-        raise InvalidArgument("sgld_step needs at least one row")
-    if not (math.isfinite(step_size) and step_size > 0):
-        raise InvalidArgument(f"step_size must be positive, got {step_size}")
-    g = sample_size * energy.gradient(w, rows) + prior_eps * w
-    new = w - 0.5 * step_size * g + math.sqrt(step_size) * rng.standard_normal(w.size)
-    if not np.all(np.isfinite(new)):
-        raise NonFiniteState(_NON_FINITE)
-    return new
-
-
 def _capacity_from_window_energies(e_lo: np.ndarray, e_hi: np.ndarray,
                                    sample_size: int, delta_n: float) -> CapacityEstimate:
     """Capacity from per-sample held-out energies of two windows."""
@@ -364,10 +341,11 @@ def _window_stack(energy, w, pools, sample_size, config, noise_rngs,
     ``w`` stacks one state per chain, shape (chains, dim), ``pools`` their
     training rows, shape (chains, rows), and the rng lists hold their
     noise and shuffle streams in the same order.  Each step repeats the
-    arithmetic of sgld_step on the whole stack: one gradient call, each
-    chain on its own minibatch, and each chain's noise drawn as the epoch
-    starts from its own stream, so every trajectory is bitwise the one
-    sgld_step would take.  A chain whose state leaves the finite domain
+    arithmetic of the single-chain Langevin update (module docstring) on the
+    whole stack: one gradient call, each chain on its own minibatch, and
+    each chain's noise drawn as the epoch starts from its own stream, so
+    every trajectory is bitwise the one that update would take chain by
+    chain.  A chain whose state leaves the finite domain
     leaves the stack after that step.  Returns the final states and the
     samples, shapes (chains, dim) and (samples, chains, dim), and the
     boolean mask of chains that stayed finite; the rows of dropped chains
@@ -413,9 +391,10 @@ def _window_quadratic(energy, w, sample_size, config, noise_rngs):
 
     ``w`` stacks one state per chain, shape (chains, dim), and
     ``noise_rngs`` holds the chains' noise streams in the same order.  The
-    kernel repeats exactly the arithmetic of sgld_step, elementwise, with
-    each chain's noise drawn up front from its own stream, so every
-    trajectory is bitwise the one sgld_step would take.  A state of at most
+    kernel repeats exactly the arithmetic of the single-chain Langevin
+    update (module docstring), elementwise, with each chain's noise drawn
+    up front from its own stream, so every trajectory is bitwise the one
+    that update would take chain by chain.  A state of at most
     ``kernels._SCALAR_COORDS`` coordinates (chains x dim) runs each
     coordinate's recursion in Python floats, a larger one in numpy; both do
     the same correctly rounded double operations in the same order, so the

@@ -26,7 +26,7 @@ from capmeter.learners import (
     load_tabular,
     logistic_learner,
 )
-from capmeter.oracle import HessianSpectrum, pacbayes_bound, save_spectrum
+from capmeter.oracle import HessianSpectrum, pacbayes_bound
 from capmeter.protocol import (
     RECORD_HEADER,
     EnergyRecord,
@@ -451,6 +451,24 @@ class TestFit:
         for point in poly["capacity_by_n"]:
             assert point["value"] == pytest.approx(1.0, abs=1e-4)
 
+    @pytest.mark.parametrize("method", ["both", "sigmoid"])
+    def test_singular_sigmoid_covariance_exits_4(self, tmp_path, capsys,
+                                                 method):
+        # one stderr of 3e-18 leaves the (a, u_inf) block of the sigmoid
+        # covariance singular; its inverse once crashed with a LinAlgError
+        n = np.array(cli.parse_grid("150:5000:14log"))
+        u = 0.3 + 2.0 / n + np.random.default_rng(1).normal(0.0, 1e-3, n.size)
+        se = np.full(n.size, 1e-3)
+        se[-1] = 3e-18
+        curve = tmp_path / "c.curve"
+        write_curve_file(curve, n, u, se)
+        code = cli.main(["fit", str(curve), "--method", method,
+                         "--out", str(tmp_path / "f")])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: DegenerateCurve: sigmoid covariance")
+        assert "Traceback" not in err
+
     def test_params_below_one_exits_2_before_fitting(self, tmp_path, capsys,
                                                      monkeypatch):
         def no_fit(*args, **kwargs):
@@ -525,8 +543,7 @@ class TestOracle:
 
     def test_spectrum_file_round_trip(self, tmp_path, capsys):
         path = tmp_path / "spec.txt"
-        save_spectrum(path, HessianSpectrum(eigenvalues=(1.0, 0.1, 0.001),
-                                            epsilon=0.2))
+        path.write_text("# epsilon=0.2\n1.0\n0.1\n0.001\n")
         code = cli.main(["oracle", "--spectrum", str(path), "--dim-at", "101"])
         assert code == 0
         assert capsys.readouterr().out == "effective_dim@101 3\n"
@@ -560,7 +577,7 @@ class TestOracle:
                                                   extra, message):
         # the file's values would otherwise be used and the flags ignored
         path = tmp_path / "spec.txt"
-        save_spectrum(path, HessianSpectrum(eigenvalues=(2.0, 2.0), epsilon=1.0))
+        path.write_text("# epsilon=1.0\n2.0\n2.0\n")
         code = cli.main(["oracle", "--spectrum", str(path), "--hm"] + extra)
         assert code == 2
         captured = capsys.readouterr()

@@ -372,15 +372,27 @@ def random_curve(rng, i):
     return make_curve(n, u + rng.normal(0.0, noise, n.size), se)
 
 
+def rounding_stderr_curve(rng, i):
+    """A noisy power law or noise about a constant, one of whose stderrs is
+    drawn log-uniformly between 1e-18 and 1e-15: that point outweighs the
+    others by about 1e30, and whether the sigmoid's (a, u_inf) block is then
+    singular depends on the stderr's exact value."""
+    curve = random_curve(rng, 1 + i % 2)
+    se = curve.u_stderr.copy()
+    se[rng.integers(se.size)] = 10.0 ** rng.uniform(-18.0, -15.0)
+    return make_curve(curve.n, curve.u_mean, se)
+
+
 class TestFitContract:
     def test_every_fit_returns_or_raises_a_fit_failure(self):
         # typed errors are a contract: a fit either returns a model or
         # raises an error whose exit code is 4, never anything else
         rng = np.random.default_rng(23)
-        for i in range(200):
-            curve = random_curve(rng, i)
+        cases = [(random_curve(rng, i), i % 25 == 0) for i in range(200)]
+        cases += [(rounding_stderr_curve(rng, i), True) for i in range(24)]
+        for i, (curve, with_sigmoid) in enumerate(cases):
             fits = [fit_monotone_polynomial]
-            if i % 25 == 0:
+            if with_sigmoid:
                 fits.append(fit_sigmoid_capacity)
             for fit in fits:
                 try:
@@ -470,7 +482,7 @@ class TestSteepSigmoidFit:
         sigma = 0.003 * u
         y = u + np.random.default_rng(0).normal(0.0, sigma)
         model = fit_sigmoid_capacity(make_curve(n, y, sigma))
-        n_star, _ = freezing_threshold(model)
+        n_star, _ = freezing_threshold(model, n[-1])
         assert n_star == pytest.approx(self.N_STAR, rel=0.15)
         pred = np.array([model.u_inf + tail_by_quad(model.a, model.b, model.c, nn)
                          for nn in n])
@@ -667,10 +679,10 @@ class TestVariableProjectionFit:
 class TestFreezingThreshold:
     def test_midpoint_value(self):
         model = plain_model(5.0, 20.0, 3.0, 0.0)
-        n_star, guidance = freezing_threshold(model)
+        n_star, guidance = freezing_threshold(model, 100)
         assert n_star == pytest.approx(math.exp(20.0 / 3.0))
         assert n_star == pytest.approx(785.77, rel=1e-3)
-        assert guidance is None
+        assert guidance is Guidance.PROCURE_MORE_DATA
 
     def test_guidance_regions(self):
         model = plain_model(5.0, 20.0, 3.0, 0.0)
@@ -680,7 +692,7 @@ class TestFreezingThreshold:
 
     def test_flat_capacity_has_no_threshold(self):
         with pytest.raises(UndefinedThreshold):
-            freezing_threshold(plain_model(5.0, 1.0, 0.0, 0.0))
+            freezing_threshold(plain_model(5.0, 1.0, 0.0, 0.0), 100)
 
 
 class TestKendallTau:

@@ -17,17 +17,13 @@ from capmeter.errors import (
 import capmeter.oracle
 from capmeter.oracle import (
     HessianSpectrum,
-    avg_energy_from_logz,
-    box_sampler,
     load_spectrum,
     pacbayes_bound,
     pacbayes_effective_dim,
-    pacbayes_epsilon_default,
     quad_capacity_exact,
     quad_capacity_hm,
     quad_log_z,
     rlct_volume_estimate,
-    save_spectrum,
 )
 
 
@@ -228,67 +224,39 @@ class TestPacbayesBound:
             pacbayes_bound(spec([1.0], 1.0), 2, kappa=1.0, dist_sq=-1.0)
 
 
-class TestEpsilonDefault:
-    def test_worked_value(self):
-        got = pacbayes_epsilon_default(spec([math.exp(-1)] * 2, 0.0))
-        np.testing.assert_allclose(got.value, 4.0 / math.e, rtol=1e-12)
-        assert not got.clamped
-
-    def test_clamp_on_unit_spectrum(self):
-        got = pacbayes_epsilon_default(spec([1.0, 1.0], 0.0))
-        assert got.value == pytest.approx(1e-8)
-        assert got.clamped
-
-    def test_clamp_on_large_spectrum(self):
-        got = pacbayes_epsilon_default(spec([math.e, math.e], 0.0))
-        assert got.clamped
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidSpectrum):
-            pacbayes_epsilon_default(spec([1.0, 0.0], 0.0))
-
-
-class TestAvgEnergy:
-    def test_quadratic_worked_value(self):
-        s = spec([1.0], 1.0)
-        u = avg_energy_from_logz(lambda n: quad_log_z(s, n), 10)
-        np.testing.assert_allclose(u, 0.5 * math.log(12.0 / 11.0), rtol=1e-12)
-
-    def test_flat_logz(self):
-        assert avg_energy_from_logz(lambda n: 4.2, 7) == 0.0
-
-    def test_stochastic_complexity_form(self):
-        u = avg_energy_from_logz(lambda n: -3.0 * math.log(n), 2)
-        np.testing.assert_allclose(u, 3.0 * math.log(1.5), rtol=1e-12)
-
-
 def _quad_energy(w):
     return 0.5 * np.sum(w * w, axis=1)
 
 
+def _box_sampler(p):
+    def draw(rng, m):
+        return rng.uniform(-1.0, 1.0, size=(m, p))
+    return draw
+
+
 class TestRlctEstimate:
     def test_two_dim_quadratic(self):
-        est = rlct_volume_estimate(_quad_energy, box_sampler(2), eps=0.01,
+        est = rlct_volume_estimate(_quad_energy, _box_sampler(2), eps=0.01,
                                    a=2.0, n_samples=200_000, seed=5)
         assert est.value == pytest.approx(1.0, rel=0.1)
         assert est.hits_high >= est.hits_low >= 20
         assert est.stderr > 0.0
 
     def test_one_dim_quadratic(self):
-        est = rlct_volume_estimate(_quad_energy, box_sampler(1), eps=0.01,
+        est = rlct_volume_estimate(_quad_energy, _box_sampler(1), eps=0.01,
                                    a=2.0, n_samples=100_000, seed=6)
         assert est.value == pytest.approx(0.5, rel=0.1)
 
     def test_insufficient_hits(self):
         with pytest.raises(InsufficientHits):
-            rlct_volume_estimate(_quad_energy, box_sampler(2), eps=1e-9,
+            rlct_volume_estimate(_quad_energy, _box_sampler(2), eps=1e-9,
                                  a=2.0, n_samples=2_000, seed=7)
 
     def test_batching_does_not_change_counts(self, monkeypatch):
         counts = []
         for block in (1 << 20, 977):
             monkeypatch.setattr(capmeter.oracle, "_DRAW_BLOCK", block)
-            est = rlct_volume_estimate(_quad_energy, box_sampler(2), eps=0.02,
+            est = rlct_volume_estimate(_quad_energy, _box_sampler(2), eps=0.02,
                                        a=2.0, n_samples=50_000, seed=8)
             counts.append((est.hits_low, est.hits_high))
         assert counts[0] == counts[1]
@@ -297,9 +265,9 @@ class TestRlctEstimate:
 class TestSpectrumFiles:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "spec.txt"
-        s = spec([2.0, 0.5], 0.25, offsets=[0.1, -0.3])
-        save_spectrum(path, s)
+        path.write_text("# epsilon=0.25\n# offsets=0.1,-0.3\n2.0\n0.5\n")
         back = load_spectrum(path)
+        s = spec([2.0, 0.5], 0.25, offsets=[0.1, -0.3])
         np.testing.assert_array_equal(back.eigenvalues, s.eigenvalues)
         np.testing.assert_array_equal(back.offsets, s.offsets)
         assert back.epsilon == s.epsilon

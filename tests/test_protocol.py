@@ -34,7 +34,6 @@ from capmeter.protocol import (
     default_n_grid,
     estimate_avg_energy,
     ingest_records,
-    loocv_avg_energy,
     plan_experiment,
     run_protocol,
     write_records,
@@ -443,49 +442,6 @@ class TestRunProtocol:
         curve = estimate_avg_energy(result.records)
         assert curve.n.tolist() == [10, 20]
         assert np.all(np.isfinite(curve.u_mean))
-
-
-class TestLoocv:
-    def test_mean_learner_matches_manual(self):
-        labels = np.array([0.0, 1.0, 1.0])
-        ds = FakeDataset(labels)
-        expected = 0.0
-        for i in range(3):
-            mu = np.mean(np.delete(labels, i))
-            expected += (labels[i] - mu) ** 2 + 0.1
-        assert loocv_avg_energy(MeanLearner(), ds) == pytest.approx(expected / 3)
-
-    def test_matches_full_fold_plan_exactly(self):
-        # one fold per row on the original data: k = N reduces to leave-one-out
-        labels = np.arange(6) % 2 * 1.0
-        ds = FakeDataset(labels)
-        learner = MeanLearner()
-        jobs = [Job(6, 0, i, 0, 0, np.delete(np.arange(6), i), np.array([i]))
-                for i in range(6)]
-        records, _ = per_job_records(ds, learner, jobs, "d")
-        curve = estimate_avg_energy(records)
-        assert curve.u_mean[0] == loocv_avg_energy(learner, ds, seed=0)
-
-    def test_grouped_fit_gives_the_same_estimate(self):
-        ds = FakeDataset(np.arange(7) % 3 * 0.5)
-        learner = MeanLearner()
-        jobs = [Job(7, 0, i, 0, 0, np.delete(np.arange(7), i), np.array([i]))
-                for i in range(7)]
-        records, _ = per_job_records(ds, learner, jobs)
-        assert loocv_avg_energy(learner, ds) == sum(
-            rec.nll_sum for rec in records) / 7
-        assert learner.sizes() == [[7] * 7]
-
-    def test_failure_names_the_left_out_row(self):
-        ds = FakeDataset(np.arange(5) * 1.0)
-        with pytest.raises(TrainingFailure, match="failed at row 3: diverged"):
-            loocv_avg_energy(FailsWithoutRowLearner(3), ds)
-        with pytest.raises(TrainingFailure, match="failed at row 2: diverged"):
-            loocv_avg_energy(MeanLearner(fail_at=2), ds)
-
-    def test_needs_two_rows(self):
-        with pytest.raises(InvalidArgument):
-            loocv_avg_energy(MeanLearner(), FakeDataset([1.0]))
 
 
 class TestRecordFiles:

@@ -31,7 +31,6 @@ from capmeter.sgld import (
     QuadraticEnergy,
     SgldConfig,
     run_incremental_protocol,
-    sgld_step,
 )
 
 
@@ -200,6 +199,32 @@ class TestMlpEnergy:
         p = energy.prob_on_rows(np.random.default_rng(0).standard_normal(energy.dim),
                                 np.arange(10))
         assert np.all(p > 0.0) and np.all(p < 1.0)
+
+
+def sgld_step(weights, energy: DifferentiableEnergy, rows, sample_size: int,
+              step_size: float, rng: np.random.Generator,
+              prior_eps: float) -> np.ndarray:
+    """One Langevin update of a single chain's state: the reference that
+    the package's stacked windows and fused quadratic kernel must match bit
+    for bit.
+
+    Drifts half a step down the gradient of ``sample_size * mean-loss``
+    over the given rows plus the Gaussian prior's pull ``prior_eps * w``
+    (none at ``prior_eps = 0``, the flat prior) and adds noise of variance
+    ``step_size`` per coordinate.  Raises NonFiniteState if the update
+    leaves the finite domain.
+    """
+    w = np.asarray(weights, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.int64)
+    if rows.size == 0:
+        raise InvalidArgument("sgld_step needs at least one row")
+    if not (math.isfinite(step_size) and step_size > 0):
+        raise InvalidArgument(f"step_size must be positive, got {step_size}")
+    g = sample_size * energy.gradient(w, rows) + prior_eps * w
+    new = w - 0.5 * step_size * g + math.sqrt(step_size) * rng.standard_normal(w.size)
+    if not np.all(np.isfinite(new)):
+        raise NonFiniteState(capmeter.sgld._NON_FINITE)
+    return new
 
 
 class TestSgldStep:
