@@ -64,7 +64,9 @@ from .protocol import (
     estimate_avg_energy,
     header_values,
     ingest_records,
+    read_curve,
     run_protocol,
+    write_curve,
     write_records,
 )
 from .sgld import (
@@ -75,7 +77,6 @@ from .sgld import (
     run_incremental_protocol,
 )
 
-CURVE_HEADER = "sample_size,u_mean,u_stderr,record_count"
 
 def _fmt6(value) -> str:
     """Display rounding for printed oracle values."""
@@ -223,55 +224,13 @@ def _config_echo(args) -> dict:
             if k not in skip and v is not None}
 
 
-# ---------------------------------------------------------------------------
-# curve file round trip
-# ---------------------------------------------------------------------------
-
-def _write_curve(path, curve: EnergyCurve, manifest) -> None:
-    lines = [f"# {line}" for line in report.manifest_lines(manifest)]
-    lines.append(f"# scale={curve.scale}")
-    lines.append(CURVE_HEADER)
-    for n, u, se, count in curve.points:
-        lines.append(f"{n},{float(u)!r},{float(se)!r},{count}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def _read_curve(path, scale: str) -> EnergyCurve:
-    lines = content_lines(path)
-    lineno, header = next(lines, (0, None))
-    if header != CURVE_HEADER:
-        raise ParseError(f"expected curve header {CURVE_HEADER!r}", line=lineno)
-    rows = []
-    for lineno, line in lines:
-        parts = line.split(",")
-        if len(parts) != 4:
-            raise ParseError(f"expected 4 fields, got {len(parts)}", line=lineno)
-        try:
-            rows.append((int(parts[0]), float(parts[1]), float(parts[2]),
-                         int(parts[3])))
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno)
-    if not rows:
-        raise ParseError("curve file has no data rows", line=0)
-    rows.sort()
-    return EnergyCurve(n=np.array([r[0] for r in rows], dtype=np.float64),
-                       u_mean=np.array([r[1] for r in rows]),
-                       u_stderr=np.array([r[2] for r in rows]),
-                       record_count=np.array([r[3] for r in rows]),
-                       scale=scale)
-
-
 def _load_curve_input(path) -> EnergyCurve:
     """Accept either a record file or a curve summary file.  A ``# scale=``
     comment line names the curve's scale, "nll" when there is none."""
     scale = header_values(path).get("scale", (0, "nll"))[1]
-    first = next(content_lines(path), None)
-    if first is None:
-        raise ParseError("file has no content lines", line=0)
-    if first[1] == RECORD_HEADER:
+    if next(content_lines(path), (0, None))[1] == RECORD_HEADER:
         return estimate_avg_energy(ingest_records(path), scale=scale)
-    return _read_curve(path, scale)
+    return read_curve(path, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -297,9 +256,9 @@ def cmd_run(args) -> int:
         args._argv, _resolved(args, "run", config, learner),
         config.master_seed, inputs)
     comments = report.manifest_lines(manifest)
-    comments.append(f"clamp_events = {result.clamp_events}")
-    write_records(args.out, result.records, comments=comments)
-    _write_curve(args.out + ".curve", curve, manifest)
+    write_records(args.out, result.records, comments=comments + [
+        f"clamp_events = {result.clamp_events}"])
+    write_curve(args.out + ".curve", curve, comments)
     print(f"wrote {args.out}: {len(result.records)} records over "
           f"{len(config.n_grid)} sample sizes (clamped {result.clamp_events} terms)")
     return 0

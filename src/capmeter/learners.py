@@ -29,7 +29,7 @@ from .errors import (
     ParseError,
     TrainingFailure,
 )
-from .protocol import Job, content_lines, derive_rng
+from .protocol import Job, derive_rng, read_table
 
 
 @dataclass(frozen=True)
@@ -586,8 +586,16 @@ def mlp_learner(hidden: int, epochs: int = 150, lr_max: float = 0.1,
 # tabular files
 # ---------------------------------------------------------------------------
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
 def load_tabular(path) -> Dataset:
-    """Load a comma-separated numeric file; last column is the label.
+    """Load a comma-separated file of finite numbers with
+    :func:`~capmeter.protocol.read_table`; the last column is the label.
 
     The labels set the task: all-integral labels mean classification
     (remapped to 0..m-1), and all-fractional labels mean regression
@@ -595,35 +603,17 @@ def load_tabular(path) -> Dataset:
     is ambiguous.
 
     Raises:
-        ParseError: non-numeric field (with row and column), ragged rows,
-            or no data rows.
+        ParseError: a non-numeric or non-finite field (with line and
+            column), ragged rows, a single column, or no data rows.
         MixedTypes: label column mixes integral and fractional values.
     """
-    rows = []
-    width = None
-    for lineno, line in content_lines(path):
-        fields = line.split(",")
-        if width is None:
-            width = len(fields)
-            if width < 2:
-                raise ParseError("need at least one feature and a label", lineno)
-        elif len(fields) != width:
-            raise ParseError(f"expected {width} fields, got {len(fields)}", lineno)
-        values = []
-        for col, field in enumerate(fields, start=1):
-            try:
-                v = float(field)
-            except ValueError:
-                raise ParseError(f"non-numeric field {field.strip()!r}",
-                                 lineno, column=col) from None
-            if not np.isfinite(v):
-                raise ParseError(f"non-finite field {field.strip()!r}",
-                                 lineno, column=col)
-            values.append(v)
-        rows.append(values)
+    rows = list(read_table(path, _finite))
     if not rows:
         raise ParseError("no data rows", 1)
-    data = np.asarray(rows, dtype=np.float64)
+    lineno, first = rows[0]
+    if len(first) < 2:
+        raise ParseError("need at least one feature and a label", lineno)
+    data = np.array([values for _, values in rows])
     x, y = data[:, :-1], data[:, -1]
     integral = np.equal(np.mod(y, 1.0), 0.0)
     if not np.any(integral):

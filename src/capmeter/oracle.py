@@ -27,7 +27,7 @@ from .errors import (
     InvariantViolation,
     ParseError,
 )
-from .protocol import content_lines, header_values
+from .protocol import header_values, read_table
 
 _TWO_PI = 2.0 * np.pi
 
@@ -264,7 +264,8 @@ def rlct_volume_estimate(energy: Callable[[np.ndarray], np.ndarray],
 # ---------------------------------------------------------------------------
 
 def load_spectrum(path) -> HessianSpectrum:
-    """Read a spectrum file.
+    """Read a spectrum file: its eigenvalues, one per line, with
+    :func:`~capmeter.protocol.read_table`.
 
     Raises:
         ParseError: malformed number or header, with its location.
@@ -284,12 +285,7 @@ def load_spectrum(path) -> HessianSpectrum:
             offsets = np.array([float(tok) for tok in val.split(",")])
         except ValueError:
             raise ParseError(f"bad offsets list {val!r}", lineno) from None
-    eigenvalues = []
-    for lineno, line in content_lines(path):
-        try:
-            eigenvalues.append(float(line))
-        except ValueError:
-            raise ParseError(f"bad eigenvalue {line!r}", lineno, column=1) from None
+    eigenvalues = [value for _, (value,) in read_table(path, (float,))]
     if epsilon is None:
         raise InvariantViolation(f"{path}: missing 'epsilon' header")
     if not eigenvalues:

@@ -23,8 +23,9 @@ and reported.  All randomness derives from the config's master seed, so
 the whole pipeline is a pure function of (dataset, config).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .errors import (
     ParseError,
 )
 
-RECORD_HEADER = "dataset_id,sample_size,boot_index,fold_index,seed_index,nll_sum,heldout_count"
 # characters that would split a record line if a dataset id held them
 DATASET_ID_FORBIDDEN = (",", "\r", "\n")
 
@@ -72,6 +72,12 @@ class EnergyRecord:
             raise InvariantViolation(f"heldout_count must be >= 1, got {self.heldout_count}")
         if not np.isfinite(self.nll_sum):
             raise NonFinite(f"nll_sum not finite: {self.nll_sum}")
+
+
+# a record file's columns are EnergyRecord's fields, with their types
+RECORD_HEADER = ",".join(f.name for f in fields(EnergyRecord))
+_RECORD_KINDS = tuple(f.type for f in fields(EnergyRecord))
+CURVE_HEADER = "sample_size,u_mean,u_stderr,record_count"
 
 
 @dataclass(frozen=True)
@@ -137,10 +143,14 @@ class EnergyCurve:
     scale: str = "nll"
 
     def __post_init__(self):
-        n = np.asarray(self.n, dtype=np.int64)
+        try:
+            n = np.asarray(self.n, dtype=np.int64)
+            rc = np.asarray(self.record_count, dtype=np.int64)
+        except OverflowError:
+            raise InvalidArgument(
+                "curve N and record_count must fit in 64 bits") from None
         u = np.asarray(self.u_mean, dtype=np.float64)
         se = np.asarray(self.u_stderr, dtype=np.float64)
-        rc = np.asarray(self.record_count, dtype=np.int64)
         if not (n.size == u.size == se.size == rc.size):
             raise InvalidArgument("curve arrays must share one length")
         if n.size == 0:
@@ -151,6 +161,8 @@ class EnergyCurve:
             raise NonFinite("curve u_mean must be finite")
         if np.any(se < 0.0) or not np.all(np.isfinite(se)):
             raise InvalidArgument("curve u_stderr must be finite and >= 0")
+        if np.any(rc < 1):
+            raise InvalidArgument("curve record_count must be >= 1")
         for name, arr in (("n", n), ("u_mean", u), ("u_stderr", se),
                           ("record_count", rc)):
             arr.setflags(write=False)
@@ -348,7 +360,8 @@ def estimate_avg_energy(records, scale: str = "nll") -> EnergyCurve:
 
 
 # ---------------------------------------------------------------------------
-# record files
+# files: the line readers, and the one table reader and writer of record,
+# curve, tabular data and spectrum files
 # ---------------------------------------------------------------------------
 
 def content_lines(path):
@@ -375,63 +388,104 @@ def header_values(path) -> dict:
     return values
 
 
-def write_records(path, records, comments=()) -> None:
-    """Write records as CSV; '#' comment lines go before the header."""
+def read_table(path, kinds, header=None, key=0):
+    """(line number, converted values) for each row of a comma-separated file.
+
+    The rows are the content lines after ``header``, which, when given, must
+    be the first of them.  ``kinds`` holds one converter per column, or is
+    one converter for every column, and the first row then sets the width.
+    The first ``key`` values of a row must differ from every earlier row's.
+
+    Raises:
+        ParseError: a missing or different header, a row of the wrong
+            width, or a field its column's converter rejects (with line and
+            column).
+        DuplicateKey: a repeated key, naming its line.
+    """
+    lines = content_lines(path)
+    if header is not None:
+        lineno, first = next(lines, (1, None))
+        if first != header:
+            raise ParseError(f"expected header {header!r}", lineno)
+    names = header.split(",") if header else None
+    seen = set()
+    for lineno, line in lines:
+        parts = line.split(",")
+        if callable(kinds):
+            kinds = (kinds,) * len(parts)
+        if len(parts) != len(kinds):
+            raise ParseError(f"expected {len(kinds)} fields, got {len(parts)}",
+                             lineno)
+        values = []
+        try:
+            for kind, field in zip(kinds, parts):
+                values.append(kind(field))
+        except ValueError:
+            name = names[len(values)] if names else "field"
+            raise ParseError(f"bad {name} {field!r}", lineno,
+                             len(values) + 1) from None
+        if key:
+            row_key = tuple(values[:key])
+            if row_key in seen:
+                raise DuplicateKey(f"duplicate key {row_key} at line {lineno}")
+            seen.add(row_key)
+        yield lineno, values
+
+
+def write_table(path, header, rows, comments=()) -> None:
+    """Write '#' comment lines, the header, then one comma-separated line per
+    row; a float is written as ``repr(float(v))``, which reads back bitwise."""
     with open(path, "w", encoding="utf-8") as fh:
         for line in comments:
             fh.write(f"# {line}\n")
-        fh.write(RECORD_HEADER + "\n")
-        for r in records:
-            fh.write(f"{r.dataset_id},{r.sample_size},{r.boot_index},"
-                     f"{r.fold_index},{r.seed_index},{float(r.nll_sum)!r},"
-                     f"{r.heldout_count}\n")
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join([repr(float(v)) if isinstance(v, float) else str(v)
+                               for v in row]) + "\n")
+
+
+def write_records(path, records, comments=()) -> None:
+    """Write a record file: the comment lines, then one row per record."""
+    write_table(path, RECORD_HEADER,
+                map(attrgetter(*RECORD_HEADER.split(",")), records), comments)
 
 
 def ingest_records(path) -> list:
-    """Parse a record file, validating structure and uniqueness.
+    """Read a record file with :func:`read_table`; (dataset, N, boot, fold,
+    seed) is its key.
 
     Raises:
-        ParseError: malformed line/field, with line and column.
-        InvariantViolation: invalid field values (e.g. heldout_count 0).
-        DuplicateKey: repeated (dataset, N, boot, fold, seed) tuple.
+        ParseError: missing header or malformed line or field, located.
+        InvariantViolation: invalid field values (e.g. heldout_count 0),
+            naming the line.
+        DuplicateKey: repeated (dataset, N, boot, fold, seed) key.
     """
-    lines = content_lines(path)
-    first = next(lines, None)
-    if first is None:
-        raise ParseError("missing record header", 1)
-    if first[1] != RECORD_HEADER:
-        raise ParseError(f"expected header {RECORD_HEADER!r}", first[0])
     records = []
-    seen = set()
-    for lineno, line in lines:
-        fields = line.split(",")
-        if len(fields) != 7:
-            raise ParseError(f"expected 7 fields, got {len(fields)}", lineno)
+    for lineno, values in read_table(path, _RECORD_KINDS, RECORD_HEADER, key=5):
         try:
-            dataset_id = fields[0]
-            sample_size = int(fields[1])
-            boot = int(fields[2])
-            fold = int(fields[3])
-            seed_idx = int(fields[4])
-        except ValueError as exc:
-            raise ParseError(f"bad integer field: {exc}", lineno, column=2) from None
-        try:
-            nll_sum = float(fields[5])
-        except ValueError:
-            raise ParseError(f"bad nll_sum {fields[5]!r}", lineno, column=6) from None
-        try:
-            heldout = int(fields[6])
-        except ValueError:
-            raise ParseError(f"bad heldout_count {fields[6]!r}", lineno,
-                             column=7) from None
-        key = (dataset_id, sample_size, boot, fold, seed_idx)
-        if key in seen:
-            raise DuplicateKey(f"duplicate record key {key} at line {lineno}")
-        seen.add(key)
-        try:
-            rec = EnergyRecord(dataset_id, sample_size, boot, fold,
-                               seed_idx, nll_sum, heldout)
+            records.append(EnergyRecord(*values))
         except (InvariantViolation, NonFinite) as exc:
             raise InvariantViolation(f"line {lineno}: {exc}") from None
-        records.append(rec)
     return records
+
+
+def write_curve(path, curve: EnergyCurve, comments=()) -> None:
+    """Write a curve file: the comment lines and a ``scale=`` line, then one
+    row per N."""
+    write_table(path, CURVE_HEADER, curve.points,
+                [*comments, f"scale={curve.scale}"])
+
+
+def read_curve(path, scale: str = "nll") -> EnergyCurve:
+    """Read a curve file with :func:`read_table`: rows in any order, each N
+    once.
+
+    Raises:
+        ParseError: no data rows, or as :func:`read_table`.
+        DuplicateKey: a repeated N, naming its line.
+    """
+    rows = sorted(values for _, values in
+                  read_table(path, (int, float, float, int), CURVE_HEADER, key=1))
+    if not rows:
+        raise ParseError("curve file has no data rows", line=0)
+    return EnergyCurve(*zip(*rows), scale=scale)

@@ -26,8 +26,9 @@ from capmeter.learners import (
     load_tabular,
     logistic_learner,
 )
-from capmeter.oracle import HessianSpectrum, pacbayes_bound
+from capmeter.oracle import HessianSpectrum, load_spectrum, pacbayes_bound
 from capmeter.protocol import (
+    CURVE_HEADER,
     RECORD_HEADER,
     EnergyRecord,
     ProtocolConfig,
@@ -46,7 +47,7 @@ def truth_energy(a, b, c, u_inf, n):
 
 
 def write_curve_file(path, n, u, se, scale="nll"):
-    lines = [f"# scale={scale}", cli.CURVE_HEADER]
+    lines = [f"# scale={scale}", CURVE_HEADER]
     for nn, uu, ss in zip(n, u, se):
         lines.append(f"{int(nn)},{float(uu)!r},{float(ss)!r},10")
     path.write_text("\n".join(lines) + "\n")
@@ -124,7 +125,7 @@ class TestRun:
         assert "# manifest: master_seed = 5" in text
         assert any("timestamp" in ln for ln in text.splitlines())
         curve = data_lines((run_dir / "records.csv.curve").read_text())
-        assert curve[0] == cli.CURVE_HEADER
+        assert curve[0] == CURVE_HEADER
         assert len(curve) - 1 == 8
 
     def test_missing_learner_flag_exits_2(self, tmp_path, capsys):
@@ -486,6 +487,45 @@ class TestFit:
         assert "--params must be >= 1, got 0" in capsys.readouterr().err
         assert not (tmp_path / "f.txt").exists()
         assert not (tmp_path / "f.json").exists()
+
+    @staticmethod
+    def _curve_rows():
+        n = np.rint(np.geomspace(30, 150, 9)).astype(np.int64).tolist()
+        return [f"{nn},{0.5 + 1.0 / nn!r},0.01,10" for nn in n]
+
+    def test_repeated_n_exits_2_naming_its_line(self, tmp_path, capsys):
+        rows = self._curve_rows()
+        curve = tmp_path / "curve.csv"
+        curve.write_text("\n".join([CURVE_HEADER, *rows, rows[4]]) + "\n")
+        code = cli.main(["fit", str(curve), "--out", str(tmp_path / "f")])
+        assert code == 2
+        n = rows[4].split(",")[0]
+        assert (f"error: DuplicateKey: duplicate key ({n},) at line 11"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "f.txt").exists()
+
+    def test_record_count_below_1_exits_2(self, tmp_path, capsys):
+        rows = self._curve_rows()
+        rows[2] = rows[2].replace(",10", ",-4")
+        rows[5] = rows[5].replace(",10", ",0")
+        curve = tmp_path / "curve.csv"
+        curve.write_text("\n".join([CURVE_HEADER, *rows]) + "\n")
+        code = cli.main(["fit", str(curve), "--out", str(tmp_path / "f")])
+        assert code == 2
+        assert ("error: InvalidArgument: curve record_count must be >= 1"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "f.txt").exists()
+
+    @pytest.mark.parametrize("header, row", [
+        (RECORD_HEADER, "d,{n},0,0,0,1.0,5"), (CURVE_HEADER, "{n},0.4,0.1,3"),
+    ], ids=["records", "curve"])
+    def test_n_beyond_64_bits_exits_2(self, tmp_path, capsys, header, row):
+        path = tmp_path / "input"
+        path.write_text("\n".join([header, row.format(n=10),
+                                   row.format(n=2 ** 70)]) + "\n")
+        assert cli.main(["fit", str(path), "--out", str(tmp_path / "f")]) == 2
+        assert ("error: InvalidArgument: curve N and record_count must fit "
+                "in 64 bits" in capsys.readouterr().err)
 
     def test_garbage_header_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -988,19 +1028,38 @@ NOTES = ["# note", "", "   ", "\t# indented note"]
 READERS = {  # good lines, a bad line, the reader, what to compare
     "records": ([RECORD_HEADER, "d,10,0,0,0,1.5,2", "d,10,0,1,0,0.5,2"],
                 "d,20,0,0,0,oops,2", ingest_records, lambda records: records),
-    "curve": ([cli.CURVE_HEADER, "10,0.5,0.1,3", "20,0.25,0.05,3"],
+    "curve": ([CURVE_HEADER, "10,0.5,0.1,3", "20,0.25,0.05,3"],
               "30,oops,0.1,3", cli._load_curve_input,
               lambda curve: (curve.points, curve.scale)),
     "tabular": (["0.0,1.0,0", "1.0,0.0,1", "0.5,0.5,0"], "1.0,oops,1",
                 load_tabular,
                 lambda data: (data.inputs.tolist(), data.labels.tolist())),
+    "spectrum": (["# epsilon=0.5", "1.0", "2.0"], "oops", load_spectrum,
+                 lambda spec: (spec.eigenvalues.tolist(), spec.epsilon)),
 }
+# the columns a field can be bad in: a record's dataset id takes any text
+BAD_COLUMNS = {"records": range(2, 8), "curve": range(1, 5),
+               "tabular": range(1, 4), "spectrum": range(1, 2)}
 
 
 class TestLineReaders:
-    """The record, curve and tabular readers skip blank, whitespace-only and
-    '#' lines alike, with LF or CRLF endings, and a ParseError counts every
-    line of the file."""
+    """The record, curve, tabular and spectrum readers skip blank,
+    whitespace-only and '#' lines alike, with LF or CRLF endings, and a
+    ParseError counts every line of the file."""
+
+    @pytest.mark.parametrize("reader, column", [
+        (reader, column) for reader, columns in sorted(BAD_COLUMNS.items())
+        for column in columns])
+    def test_bad_field_reports_line_and_column(self, tmp_path, reader, column):
+        good, _, read, _ = READERS[reader]
+        fields = good[-1].split(",")
+        fields[column - 1] = "x"
+        lines = [*NOTES, *good[:-1], ",".join(fields)]
+        path = tmp_path / "file"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            read(path)
+        assert (err.value.line, err.value.column) == (len(lines), column)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     @pytest.mark.parametrize("reader", sorted(READERS))

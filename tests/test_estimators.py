@@ -772,14 +772,17 @@ class TestCapacityLossRegression:
         assert out.stdout.strip() == "False"
 
     def test_cli_import_leaves_scipy_special_unloaded(self):
-        # the estimators import scipy.special where they call it, so the
-        # commands that fit nothing start without it
+        # the estimators import scipy.special where they call it, and
+        # nothing else imports scipy at module level, so the commands that
+        # fit nothing start without any scipy module
         src = str(Path(capmeter.__file__).resolve().parent.parent)
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
         code = ("import sys, capmeter.cli; "
-                "assert 'scipy.special' not in sys.modules, 'scipy.special'")
+                "loaded = sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')); "
+                "assert not loaded, loaded")
         subprocess.run([sys.executable, "-c", code], check=True,
                        capture_output=True, text=True, env=env, timeout=120)
 

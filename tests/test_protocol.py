@@ -35,8 +35,10 @@ from capmeter.protocol import (
     estimate_avg_energy,
     ingest_records,
     plan_experiment,
+    read_table,
     run_protocol,
     write_records,
+    write_table,
 )
 
 
@@ -442,6 +444,21 @@ class TestRunProtocol:
         curve = estimate_avg_energy(result.records)
         assert curve.n.tolist() == [10, 20]
         assert np.all(np.isfinite(curve.u_mean))
+
+
+class TestTables:
+    def test_write_then_read_is_bitwise(self, tmp_path):
+        # numpy 2 spells repr(np.float64(x)) "np.float64(x)", which the
+        # writer must not copy into the file
+        values = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2,
+                  np.float64(0.1) + np.float64(0.2), np.float64(-5e-324)]
+        path = tmp_path / "table"
+        write_table(path, "v,neg", [(v, -v) for v in values],
+                    comments=("note = 1",))
+        rows = list(read_table(path, (float, float), header="v,neg"))
+        assert [lineno for lineno, _ in rows] == list(range(3, 3 + len(values)))
+        assert [[v.hex() for v in row] for _, row in rows] == [
+            [float(v).hex(), float(-v).hex()] for v in values]
 
 
 class TestRecordFiles:
