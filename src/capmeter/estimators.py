@@ -187,7 +187,9 @@ def fit_monotone_polynomial(curve: EnergyCurve,
     Constraints (energy non-increasing, capacity non-decreasing) are
     enforced at 64 log-spaced N spanning the curve, and the
     inequality-constrained QP is solved through its NNLS dual
-    (least-distance programming, Lawson and Hanson 1974, ch. 23).
+    (least-distance programming, Lawson and Hanson 1974, ch. 23).  A curve
+    with no positive stderr has unit weights, and its covariance is scaled
+    by the residual variance, cost/dof, as the sigmoid fit's is.
 
     Raises:
         InsufficientPoints: fewer than degree+2 points.
@@ -229,6 +231,9 @@ def fit_monotone_polynomial(curve: EnergyCurve,
     coeffs = R_inv @ y
     cov = R_inv @ R_inv.T
     resid = curve.u_mean - A @ coeffs
+    if not np.any(curve.u_stderr > 0):
+        # unit weights carry no scale: take it from the residual variance
+        cov *= float(resid @ resid) / (n.size - k)
     model = PolynomialEnergyModel(
         coeffs=coeffs, center=center, halfwidth=halfwidth,
         n_min=float(n.min()), n_max=float(n.max()), constraint_grid=grid_n,

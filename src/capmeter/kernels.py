@@ -210,9 +210,10 @@ def logistic_newton_stack(Xb, y, n_rows, n_classes, l2, iterations, grad_tol):
 # axis.  orders yields one (jobs, n) array per epoch, row k the permutation
 # job k takes in it.  Every product is a per-job matmul and every reduction
 # runs within a job, in numpy's own order, so each job's bits are those of
-# a stack of that job alone.  A job whose epoch loss is non-finite stops
-# after that epoch and the others go on.  Returns per-job arrays
-# (last_epoch_loss, bad_epoch).
+# a stack of that job alone.  A job whose epoch loss is non-finite stays in
+# the stack and its first such epoch is recorded; the loop stops early only
+# once every job has failed.  Returns per-job arrays (last_epoch_loss,
+# bad_epoch); a failed job's parameters and loss are not meaningful.
 #
 # The parameters live in one flat buffer, each a contiguous (jobs, ...)
 # block of it, and so do their velocities and their gradients: the products
@@ -242,26 +243,25 @@ def mlp_sgd_stack(X, y, W1, b1, W2, b2, orders, epochs, lr_max, momentum,
     shapes = [a.shape[1:] for a in out]
     theta = np.concatenate([a.ravel() for a in out])
     vel = np.zeros_like(theta)
-    live = np.arange(jobs)
+    grad = np.empty_like(theta)
+    scratch = np.empty_like(theta)
+    w1, c1, w2, c2 = _blocks(theta, jobs, shapes)
+    g1, gc1, g2, gc2 = _blocks(grad, jobs, shapes)
+    offset = (np.arange(jobs) * n)[:, None]
     loss = np.zeros(jobs)
     bad = np.full(jobs, -1, dtype=np.int64)
     step = 0
     for epoch, order in zip(range(epochs), orders):
-        k = live.size
-        w1, c1, w2, c2 = _blocks(theta, k, shapes)
-        grad = np.empty_like(theta)
-        g1, gc1, g2, gc2 = _blocks(grad, k, shapes)
-        scratch = np.empty_like(theta)
-        flat = order[live] + (live * n)[:, None]
+        flat = order + offset
         labels = np.take(yf, flat)
-        epoch_loss = np.zeros(k)
+        loss = np.zeros(jobs)
         for bi in range(nb):
             cut = slice(bi * batch, (bi + 1) * batch)
             rows = flat[:, cut]
             bs = rows.shape[1]
             xb = np.take(Xf, rows, axis=0)
             # flat position of each row's own-class logit in the batch
-            lab = np.arange(0, rows.size * m, m).reshape(k, bs) + labels[:, cut]
+            lab = np.arange(0, rows.size * m, m).reshape(jobs, bs) + labels[:, cut]
             lr = lr_max * 0.5 * (1.0 + np.cos(np.pi * step / total))
             hid = np.matmul(xb, w1)
             hid += c1[:, None]
@@ -272,8 +272,8 @@ def mlp_sgd_stack(X, y, W1, b1, W2, b2, orders, epochs, lr_max, momentum,
             dlog = logits - mx
             np.exp(dlog, out=dlog)
             S = class_sum(dlog)
-            epoch_loss += np.sum(np.log(S[..., 0]) + mx[..., 0]
-                                 - logits.take(lab), axis=1)
+            loss += np.sum(np.log(S[..., 0]) + mx[..., 0]
+                           - logits.take(lab), axis=1)
             dlog /= S
             dlog.reshape(-1)[lab] -= 1.0
             dlog /= bs
@@ -290,22 +290,12 @@ def mlp_sgd_stack(X, y, W1, b1, W2, b2, orders, epochs, lr_max, momentum,
             scratch *= lr
             theta -= scratch
             step += 1
-        epoch_loss /= n
-        loss[live] = epoch_loss
-        failed = ~np.isfinite(epoch_loss)
-        if failed.any():
-            bad[live[failed]] = epoch
-            params = _blocks(theta, k, shapes)
-            for o, p in zip(out, params):
-                o[live] = p
-            theta = np.concatenate([p[~failed].ravel() for p in params])
-            vel = np.concatenate([v[~failed].ravel()
-                                  for v in _blocks(vel, k, shapes)])
-            live = live[~failed]
-            if live.size == 0:
-                break
-    for o, p in zip(out, _blocks(theta, live.size, shapes)):
-        o[live] = p
+        loss /= n
+        bad[(bad < 0) & ~np.isfinite(loss)] = epoch
+        if (bad >= 0).all():
+            break
+    for o, p in zip(out, _blocks(theta, jobs, shapes)):
+        o[...] = p
     return loss, bad
 
 

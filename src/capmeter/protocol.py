@@ -322,7 +322,6 @@ def estimate_avg_energy(records, scale: str = "nll") -> EnergyCurve:
 
     Raises:
         EmptyGroup: no records at all.
-        NonFinite: a record with non-finite nll_sum.
         InvalidArgument: records span multiple dataset ids.
     """
     records = list(records)
@@ -334,8 +333,6 @@ def estimate_avg_energy(records, scale: str = "nll") -> EnergyCurve:
             f"records span multiple dataset ids {sorted(ids)}; filter first")
     by_n: dict = {}
     for rec in records:
-        if not np.isfinite(rec.nll_sum):
-            raise NonFinite(f"record {rec} has non-finite nll_sum")
         by_n.setdefault(rec.sample_size, {}).setdefault(
             (rec.boot_index, rec.seed_index), []).append(rec)
     ns = sorted(by_n)

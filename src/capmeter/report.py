@@ -76,27 +76,20 @@ def write_text_report(path, fields, manifest: dict) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _numpy_to_json(obj):
+    """``json.dump``'s hook: numpy arrays and scalars as Python values."""
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def write_json_report(path, payload: dict, manifest: dict) -> None:
     body = {"manifest": dict(manifest)}
-    body.update(_jsonable(payload))
+    body.update(payload)
     with open(path, "w") as fh:
-        json.dump(body, fh, indent=2)
+        json.dump(body, fh, indent=2, default=_numpy_to_json)
         fh.write("\n")
 
 

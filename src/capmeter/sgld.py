@@ -20,8 +20,12 @@ the one a single chain would take under the Langevin update ``w - (h/2) *
 Quadratic chains whose pool fits one batch run in the fused kernel
 instead, which steps a state of up to ``kernels._SCALAR_COORDS``
 coordinates in Python floats and a larger one in numpy, with the same bits
-either way.  The held-out readout scores every sample of every chain at
-a schedule point in one ``heldout_means`` call.
+either way.  Both loops mark failures one way: a chain that goes
+non-finite keeps stepping silently in its stack, since every update adds
+to the state and a non-finite coordinate stays so, and a chain whose
+final state is not finite is dropped when its window ends.  The held-out
+readout scores every sample of every chain at a schedule point in one
+``heldout_means`` call.
 """
 
 from __future__ import annotations
@@ -345,45 +349,36 @@ def _window_stack(energy, w, pools, sample_size, config, noise_rngs,
     whole stack: one gradient call, each chain on its own minibatch, and
     each chain's noise drawn as the epoch starts from its own stream, so
     every trajectory is bitwise the one that update would take chain by
-    chain.  A chain whose state leaves the finite domain
-    leaves the stack after that step.  Returns the final states and the
-    samples, shapes (chains, dim) and (samples, chains, dim), and the
-    boolean mask of chains that stayed finite; the rows of dropped chains
-    are not meaningful.
+    chain.  A chain whose state leaves the finite domain stays in the stack,
+    silently, as in the fused kernel: the update adds to the state, so a
+    non-finite coordinate stays non-finite and the final state tells which
+    chains failed.  Returns the final states and the samples, shapes
+    (chains, dim) and (samples, chains, dim), and the boolean mask of chains
+    that stayed finite; the rows of failed chains are not meaningful.
     """
     m = config.samples_per_window
-    chains, size = pools.shape
+    size = pools.shape[1]
     batch = config.batch_size
     starts = range(0, size, batch)
     half, scale = 0.5 * config.step_size, math.sqrt(config.step_size)
     eps = config.prior_eps
-    live = np.arange(chains)
-    kept = np.zeros(chains, dtype=bool)
-    final = np.empty_like(w)
     samples = np.empty((m,) + w.shape)
-    for epoch in range(config.equilibration_epochs + m):
-        if size > batch:
-            order = np.stack([pools[c][shuffle_rngs[c].permutation(size)]
-                              for c in live])
-        else:
-            order = pools[live]
-        noise = np.stack([noise_rngs[c].standard_normal((len(starts), w.shape[1]))
-                          for c in live], axis=1)
-        for step, start in enumerate(starts):
-            g = (sample_size * energy.gradient(w, order[:, start:start + batch])
-                 + eps * w)
-            w = w - half * g + scale * noise[step]
-            finite = np.isfinite(w).all(axis=1)
-            if not finite.all():
-                live, w = live[finite], w[finite]
-                order, noise = order[finite], noise[:, finite]
-                if live.size == 0:
-                    return final, samples, kept
-        if epoch >= config.equilibration_epochs:
-            samples[epoch - config.equilibration_epochs, live] = w
-    final[live] = w
-    kept[live] = True
-    return final, samples, kept
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.equilibration_epochs + m):
+            if size > batch:
+                order = np.stack([pool[rng.permutation(size)]
+                                  for pool, rng in zip(pools, shuffle_rngs)])
+            else:
+                order = pools
+            noise = np.stack([rng.standard_normal((len(starts), w.shape[1]))
+                              for rng in noise_rngs], axis=1)
+            for step, start in enumerate(starts):
+                g = (sample_size * energy.gradient(w, order[:, start:start + batch])
+                     + eps * w)
+                w = w - half * g + scale * noise[step]
+            if epoch >= config.equilibration_epochs:
+                samples[epoch - config.equilibration_epochs] = w
+    return w, samples, np.isfinite(w).all(axis=1)
 
 
 def _window_quadratic(energy, w, sample_size, config, noise_rngs):
@@ -398,9 +393,11 @@ def _window_quadratic(energy, w, sample_size, config, noise_rngs):
     ``kernels._SCALAR_COORDS`` coordinates (chains x dim) runs each
     coordinate's recursion in Python floats, a larger one in numpy; both do
     the same correctly rounded double operations in the same order, so the
-    choice does not change a bit.  Returns the final
-    states and the samples, shapes (chains, dim) and (samples, chains,
-    dim), and the boolean mask of chains whose states all stayed finite.
+    choice does not change a bit.  A diverging chain overflows silently and
+    stays non-finite, so, as in ``_window_stack``, the final state tells
+    which chains failed.  Returns the final states and the samples, shapes
+    (chains, dim) and (samples, chains, dim), and the boolean mask of chains
+    whose final states are finite.
     """
     m = config.samples_per_window
     steps = config.equilibration_epochs + m
@@ -411,8 +408,7 @@ def _window_quadratic(energy, w, sample_size, config, noise_rngs):
     w = kernels.sgld_chain_diag_quad(
         w, energy.eigenvalues, config.prior_eps, float(sample_size),
         0.5 * config.step_size, math.sqrt(config.step_size), noise, samples)
-    kept = np.isfinite(samples).all(axis=0).all(axis=1) & np.isfinite(w).all(axis=1)
-    return w, samples, kept
+    return w, samples, np.isfinite(w).all(axis=1)
 
 
 def run_incremental_protocol(energy: DifferentiableEnergy, config: SgldConfig,
@@ -424,8 +420,9 @@ def run_incremental_protocol(energy: DifferentiableEnergy, config: SgldConfig,
     temperature follows the nominal sample size.  The ``heldout_rows`` rows
     from ``max(n_schedule)`` on form the held-out pool for the energy
     readout; ScheduleExhaustsData if the energy's rows cannot cover them.  A
-    chain whose state leaves the finite domain is dropped; the run
-    continues while at least half the chains survive.  The curve is
+    chain whose state leaves the finite domain in a window is dropped when
+    the window ends, with a ChainFailure; the run continues while at least
+    half the chains survive.  The curve is
     ``estimate_avg_energy`` of the records.  A quadratic step scales each
     coordinate by ``1 - h*k/2``, ``k = N*lambda + prior_eps``, which leaves
     (-1, 1) once ``h*k >= 4``: ConfigError, before any sampling.

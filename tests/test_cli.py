@@ -443,7 +443,8 @@ class TestFit:
                                       "189:953:12log"])
     def test_noiseless_power_law_fits(self, tmp_path, grid):
         # the NNLS dual once emptied its positive set on these curves and
-        # crashed on an empty SVD
+        # crashed on an empty SVD; their stderr once came from unit weights
+        # taken as an sd of 1, up to 32391
         n = np.array(cli.parse_grid(grid))
         curve = tmp_path / "c.curve"
         write_curve_file(curve, n, 0.05 + 1.0 / n, np.zeros(n.size))
@@ -451,6 +452,7 @@ class TestFit:
         poly = json.loads((tmp_path / "f.json").read_text())["poly"]
         for point in poly["capacity_by_n"]:
             assert point["value"] == pytest.approx(1.0, abs=1e-4)
+            assert point["stderr"] < 1e-4
 
     @pytest.mark.parametrize("method", ["both", "sigmoid"])
     def test_singular_sigmoid_covariance_exits_4(self, tmp_path, capsys,
@@ -552,6 +554,20 @@ class TestFit:
         assert body.lstrip().startswith("<svg")
         assert "manifest: see fit.json" in body
         assert "timestamp" not in body
+
+    def test_poly_plot_draws_one_capacity_point_per_n(self, tmp_path):
+        # without a sigmoid the chart's capacity panel plots the poly's
+        # capacity_by_n
+        n = np.rint(np.geomspace(50, 5000, 12)).astype(np.int64)
+        write_curve_file(tmp_path / "curve.csv", n, 0.05 + 2.0 / n,
+                         np.full(n.size, 1e-4))
+        out = tmp_path / "fit"
+        assert cli.main(["fit", str(tmp_path / "curve.csv"), "--method", "poly",
+                         "--plot", "--out", str(out)]) == 0
+        body = (tmp_path / "fit.svg").read_text()
+        energy, capacity = body.split("capacity vs N")
+        assert energy.count("<circle") == capacity.count("<circle") == n.size
+        assert "manifest: see fit.json" in energy
 
 
 class TestOracle:

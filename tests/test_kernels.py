@@ -619,6 +619,27 @@ class TestMlpStack:
         assert bad[1] >= 1 and not np.isfinite(loss[1])
         assert np.all(np.isfinite(loss[[0, 2]]))
 
+    def test_stops_once_every_job_has_failed(self):
+        # inputs of 1e50 and 1e30 overflow in the second epoch and 1e20 in
+        # the third; no order is drawn after the epoch the last job fails in
+        problems = [mlp_problem(seed=s, n=24, epochs=8) for s in (30, 31, 32)]
+        for (Xk, *_), scale in zip(problems, (1e50, 1e30, 1e20)):
+            Xk *= scale
+        X, y, params, orders = mlp_stack(problems)
+        drawn = []
+
+        def counted():
+            for order in orders:
+                drawn.append(order)
+                yield order
+
+        with np.errstate(all="ignore"):
+            loss, bad = kernels.mlp_sgd_stack(X, y, *params, counted(),
+                                              len(orders), 0.5, 0.9, 8)
+        assert list(bad) == [1, 1, 2]
+        assert len(drawn) == 3
+        assert not np.isfinite(loss).any()
+
     def test_stops_after_epochs(self):
         # orders may yield more epochs than asked for
         problems = [mlp_problem(seed=s, epochs=5) for s in (40, 41)]

@@ -606,14 +606,13 @@ class TestIncrementalProtocol:
                              ids=["scalar", "numpy"])
     def test_diverging_fused_run_is_silent_on_both_loops(self, monkeypatch,
                                                          scalar_coords):
-        # the kernel's scalar loop (Python floats) and its numpy loop both
-        # overflow without a warning and drop the chain the stacked path
-        # drops, with the same bits
+        # the kernel's scalar loop (Python floats), its numpy loop and the
+        # stacked path all overflow without a warning and drop the same
+        # chain, with the same bits
         monkeypatch.setattr(kernels, "_SCALAR_COORDS", scalar_coords)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fused = self.diverging_windows("fused", 3860)
-        with np.errstate(all="ignore"):
             stacked = self.diverging_windows("stacked", 3860)
         self.assert_windows_agree(fused, stacked, dropped=[2])
 
