@@ -2,7 +2,7 @@
 
 ``logistic_newton_stack`` fits a stack of logistic regressions at once by
 Newton's method, and ``mlp_sgd_stack`` trains a stack of MLP fits with one
-training-set size; one fit is a stack of one job.
+minibatch count; one fit is a stack of one job.
 ``sgld_chain_diag_quad`` runs fused Langevin chains for diagonal quadratic
 energies: a small state steps each coordinate's recursion in Python floats,
 a large one all coordinates at once in numpy, and both loops give the same
@@ -205,21 +205,31 @@ def logistic_newton_stack(Xb, y, n_rows, n_classes, l2, iterations, grad_tol):
 # one-hidden-layer ReLU MLP, minibatch SGD with Nesterov momentum and a
 # one-cycle cosine learning-rate schedule
 # ---------------------------------------------------------------------------
-# A stack of equal-size jobs at once: X is (jobs, n, d), y is (jobs, n), and
-# the parameters (W1, b1, W2, b2), updated in place, carry a leading jobs
-# axis.  orders yields one (jobs, n) array per epoch, row k the permutation
-# job k takes in it.  Every product is a per-job matmul and every reduction
-# runs within a job, in numpy's own order, so each job's bits are those of
-# a stack of that job alone.  A job whose epoch loss is non-finite stays in
-# the stack and its first such epoch is recorded; the loop stops early only
-# once every job has failed.  Returns per-job arrays (last_epoch_loss,
-# bad_epoch); a failed job's parameters and loss are not meaningful.
+# A stack of jobs with one minibatch count at once: X is (jobs, n_max, d), y
+# is (jobs, n_max), and job k trains on its first n_rows[k] rows; the rows
+# after them are padding that is never read.  The parameters (W1, b1, W2,
+# b2), updated in place, carry a leading jobs axis.  orders yields one
+# (jobs, n_max) array per epoch, whose row k starts with the permutation of
+# range(n_rows[k]) job k takes in it; the entries after it must be row
+# indices below n_max and are not read.  Every job has ceil(n_rows[k] /
+# batch) minibatches, the same count, so all share the learning-rate
+# schedule and every full minibatch, which runs as one pass of the whole
+# stack.  The last minibatch holds n_rows[k] - (count - 1) * batch rows:
+# it runs as one pass per run of consecutive jobs with equal row counts
+# (so a stack ordered by row count has one pass per distinct count), each
+# writing its own slice of the gradient blocks.  Every product is a
+# per-job matmul and every reduction runs within a job, in numpy's own
+# order, so each job's bits are those of a stack of that job alone.  A job
+# whose epoch loss is non-finite stays in the stack and its first such
+# epoch is recorded; the loop stops early only once every job has failed.
+# Returns per-job arrays (last_epoch_loss, bad_epoch); a failed job's
+# parameters and loss are not meaningful.
 #
 # The parameters live in one flat buffer, each a contiguous (jobs, ...)
 # block of it, and so do their velocities and their gradients: the products
 # write the gradient blocks in place, and the Nesterov update is six calls
-# on whole buffers, not six per parameter.  The forward pass updates its
-# hidden, logit and softmax arrays in place.
+# on whole buffers, once a step, not six per parameter or per pass.  The
+# forward pass updates its hidden, logit and softmax arrays in place.
 
 def _blocks(buf, jobs, shapes):
     """The (jobs, *shape) blocks that a flat buffer holds back to back."""
@@ -231,23 +241,65 @@ def _blocks(buf, jobs, shapes):
     return views
 
 
-def mlp_sgd_stack(X, y, W1, b1, W2, b2, orders, epochs, lr_max, momentum,
-                  batch):
-    jobs, n, d = X.shape
+def _mlp_pass(xb, lab, w1, c1, w2, c2, g1, gc1, g2, gc2):
+    """One minibatch of each job of a stack: writes the mean-NLL gradients
+    into g1..gc2 and returns each job's summed NLL.  ``lab`` holds the flat
+    position of each row's own-class logit."""
+    hid = np.matmul(xb, w1)
+    hid += c1[:, None]
+    np.maximum(hid, 0.0, out=hid)
+    logits = np.matmul(hid, w2)
+    logits += c2[:, None]
+    mx = class_max(logits)
+    dlog = logits - mx
+    np.exp(dlog, out=dlog)
+    S = class_sum(dlog)
+    nll = np.sum(np.log(S[..., 0]) + mx[..., 0] - logits.take(lab), axis=1)
+    dlog /= S
+    dlog.reshape(-1)[lab] -= 1.0
+    dlog /= xb.shape[1]
+    dhid = np.matmul(dlog, w2.transpose(0, 2, 1))
+    dhid *= hid > 0.0
+    np.matmul(xb.transpose(0, 2, 1), dhid, out=g1)
+    batch_sum(dhid, out=gc1)
+    np.matmul(hid.transpose(0, 2, 1), dlog, out=g2)
+    batch_sum(dlog, out=gc2)
+    return nll
+
+
+def mlp_sgd_stack(X, y, n_rows, W1, b1, W2, b2, orders, epochs, lr_max,
+                  momentum, batch):
+    jobs, n_max, d = X.shape
     m = W2.shape[2]
-    nb = (n + batch - 1) // batch
+    nb = (n_rows + batch - 1) // batch
+    if np.any(nb != nb[0]):
+        raise InvalidArgument(
+            f"row counts {list(n_rows)} need different minibatch counts at "
+            f"batch {batch}")
+    nb = int(nb[0])
     total = epochs * nb
-    Xf = X.reshape(jobs * n, d)
-    yf = y.reshape(jobs * n)
+    Xf = X.reshape(jobs * n_max, d)
+    yf = y.reshape(jobs * n_max)
     out = (W1, b1, W2, b2)
     shapes = [a.shape[1:] for a in out]
     theta = np.concatenate([a.ravel() for a in out])
     vel = np.zeros_like(theta)
     grad = np.empty_like(theta)
     scratch = np.empty_like(theta)
-    w1, c1, w2, c2 = _blocks(theta, jobs, shapes)
-    g1, gc1, g2, gc2 = _blocks(grad, jobs, shapes)
-    offset = (np.arange(jobs) * n)[:, None]
+    blocks = _blocks(theta, jobs, shapes) + _blocks(grad, jobs, shapes)
+
+    def piece(s, size):
+        # the jobs s with a minibatch of `size` rows: their flat own-class
+        # logit offsets and their parameter and gradient blocks
+        lab = np.arange(0, (s.stop - s.start) * size * m, m).reshape(-1, size)
+        return s, size, lab, [b[s] for b in blocks]
+
+    last = n_rows - (nb - 1) * batch
+    cuts = [0, *np.flatnonzero(np.diff(n_rows)) + 1, jobs]
+    whole = [piece(slice(0, jobs), batch)]
+    ragged = [piece(slice(a, b), int(last[a])) for a, b in zip(cuts, cuts[1:])]
+    offset = (np.arange(jobs) * n_max)[:, None]
+    count = n_rows.astype(np.float64)
     loss = np.zeros(jobs)
     bad = np.full(jobs, -1, dtype=np.int64)
     step = 0
@@ -256,33 +308,12 @@ def mlp_sgd_stack(X, y, W1, b1, W2, b2, orders, epochs, lr_max, momentum,
         labels = np.take(yf, flat)
         loss = np.zeros(jobs)
         for bi in range(nb):
-            cut = slice(bi * batch, (bi + 1) * batch)
-            rows = flat[:, cut]
-            bs = rows.shape[1]
-            xb = np.take(Xf, rows, axis=0)
-            # flat position of each row's own-class logit in the batch
-            lab = np.arange(0, rows.size * m, m).reshape(jobs, bs) + labels[:, cut]
             lr = lr_max * 0.5 * (1.0 + np.cos(np.pi * step / total))
-            hid = np.matmul(xb, w1)
-            hid += c1[:, None]
-            np.maximum(hid, 0.0, out=hid)
-            logits = np.matmul(hid, w2)
-            logits += c2[:, None]
-            mx = class_max(logits)
-            dlog = logits - mx
-            np.exp(dlog, out=dlog)
-            S = class_sum(dlog)
-            loss += np.sum(np.log(S[..., 0]) + mx[..., 0]
-                           - logits.take(lab), axis=1)
-            dlog /= S
-            dlog.reshape(-1)[lab] -= 1.0
-            dlog /= bs
-            dhid = np.matmul(dlog, w2.transpose(0, 2, 1))
-            dhid *= hid > 0.0
-            np.matmul(xb.transpose(0, 2, 1), dhid, out=g1)
-            batch_sum(dhid, out=gc1)
-            np.matmul(hid.transpose(0, 2, 1), dlog, out=g2)
-            batch_sum(dlog, out=gc2)
+            lo = bi * batch
+            for s, size, lab, views in ragged if bi == nb - 1 else whole:
+                cut = slice(lo, lo + size)
+                xb = np.take(Xf, flat[s, cut], axis=0)
+                loss[s] += _mlp_pass(xb, lab + labels[s, cut], *views)
             vel *= momentum
             vel += grad
             np.multiply(vel, momentum, out=scratch)
@@ -290,11 +321,11 @@ def mlp_sgd_stack(X, y, W1, b1, W2, b2, orders, epochs, lr_max, momentum,
             scratch *= lr
             theta -= scratch
             step += 1
-        loss /= n
+        loss /= count
         bad[(bad < 0) & ~np.isfinite(loss)] = epoch
         if (bad >= 0).all():
             break
-    for o, p in zip(out, _blocks(theta, jobs, shapes)):
+    for o, p in zip(out, blocks[:4]):
         o[...] = p
     return loss, bad
 

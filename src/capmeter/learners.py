@@ -530,37 +530,56 @@ class MlpLearner(Learner):
     def fit_many(self, dataset: Dataset, jobs) -> list:
         """One model per job, in job order, each bitwise as it trains alone.
 
-        Jobs with equal training-set sizes share minibatch shapes and a
-        learning-rate schedule, so each such part of the group trains as
-        one stack.  Every job keeps its own init and its own generator of
-        epoch shuffles, drawn as each epoch starts.  A training failure is
-        raised for the first job, in order, that fails, with that job as
-        its ``job``.
+        Jobs with equal minibatch counts share a learning-rate schedule and
+        every full minibatch, so each such part of the group trains as one
+        stack, ordered by training-set size.  Every job keeps its own init
+        and its own generator of epoch shuffles, drawn as each epoch
+        starts.  A training failure is raised for the first job, in order,
+        that fails, with that job as its ``job``.
         """
         _check_jobs(dataset, jobs, "MLP")
+        sizes = np.array([job.train_rows.size for job in jobs])
         parts = {}
-        for k, job in enumerate(jobs):
-            parts.setdefault(job.train_rows.size, []).append(k)
+        for k in np.argsort(sizes, kind="stable"):
+            parts.setdefault(-(-sizes[k] // self.batch), []).append(k)
         m = dataset.m_classes
         models = [None] * len(jobs)
         bad = np.empty(len(jobs), dtype=np.int64)
-        for n, ks in parts.items():
-            rows = np.stack([jobs[k].train_rows for k in ks])
+        for ks in parts.values():
+            n_rows = sizes[ks]
+            rows = np.zeros((len(ks), n_rows[-1]), dtype=np.int64)
+            rows[np.arange(rows.shape[1]) < n_rows[:, None]] = np.concatenate(
+                [jobs[k].train_rows for k in ks])
             inits = [mlp_init(dataset.feature_dim, self.hidden, m, jobs[k].seed)
                      for k in ks]
             params = [np.stack(p) for p in zip(*inits)]
-            rngs = [np.random.default_rng(jobs[k].seed + 1) for k in ks]
-            orders = (np.stack([rng.permutation(n) for rng in rngs])
-                      for _ in range(self.epochs))
+            orders = _epoch_orders([jobs[k].seed for k in ks], n_rows,
+                                   self.epochs)
             loss, part_bad = kernels.mlp_sgd_stack(
-                dataset.inputs[rows], dataset.labels[rows], *params, orders,
-                self.epochs, self.lr_max, self.MOMENTUM, self.batch)
+                dataset.inputs[rows], dataset.labels[rows], n_rows, *params,
+                orders, self.epochs, self.lr_max, self.MOMENTUM, self.batch)
             bad[ks] = part_bad
             for i, k in enumerate(ks):
                 models[k] = MlpModel(tuple(p[i] for p in params), m,
                                      float(loss[i]))
         _check_finite(jobs, bad, "epoch")
         return models
+
+
+def _epoch_orders(seeds, n_rows, epochs):
+    """Yield each epoch's shuffles of a stack, drawn in place into one
+    reused (jobs, max(n_rows)) array: row k starts with a permutation of
+    range(n_rows[k]) from ``default_rng(seeds[k] + 1)``, the one
+    ``permutation(n_rows[k])`` would return from the same stream."""
+    rngs = [np.random.default_rng(seed + 1) for seed in seeds]
+    order = np.zeros((len(seeds), n_rows.max()), dtype=np.int64)
+    heads = [order[k, :n] for k, n in enumerate(n_rows)]
+    count = np.arange(order.shape[1])
+    for _ in range(epochs):
+        for head, rng in zip(heads, rngs):
+            head[...] = count[:head.size]
+            rng.shuffle(head)
+        yield order
 
 
 def mlp_learner(hidden: int, epochs: int = 150, lr_max: float = 0.1,
@@ -571,7 +590,7 @@ def mlp_learner(hidden: int, epochs: int = 150, lr_max: float = 0.1,
     the learning rate from lr_max to 0 across all steps.  Weight init and
     the per-epoch shuffles derive from the fit seed, so training is
     reproducible bit for bit.  ``fit_many`` trains a protocol group's jobs
-    as one stack per training-set size; ``fit`` is its one-job case.
+    as one stack per minibatch count; ``fit`` is its one-job case.
     """
     if hidden < 1:
         raise InvalidArgument(f"hidden must be >= 1, got {hidden}")

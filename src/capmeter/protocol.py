@@ -11,11 +11,12 @@ over its fold and the fold size.  Records aggregate into an
 Jobs are trained one sample size at a time, in plan order.  Every learner
 trains and scores all of one N's jobs in a single ``score_many`` call (the
 logistic learner stacks them into one batched Newton solve; the MLP
-learner splits them by training-set size, which differs by one between
-folds, and trains each part as one stacked minibatch SGD; the k-NN fits and
-scores one job at a time).  A learner whose fit ignores the seed
-(``USES_SEED`` False) is handed each distinct (train rows, held-out rows)
-pair once, and the jobs that differ only in the seed share its terms.
+learner trains one stack per minibatch count, each one stacked minibatch
+SGD (the folds' training-set sizes differ by one and mostly share a
+count); the k-NN fits and scores one job at a time).  A learner whose fit
+ignores the seed (``USES_SEED`` False) is handed each distinct (train
+rows, held-out rows) pair once, and the jobs that differ only in the seed
+share its terms.
 
 Per-example NLL values are clamped to [0, 50] before summing so a single
 degenerate prediction cannot dominate a record; clamp events are counted
@@ -294,7 +295,7 @@ def run_protocol(dataset, learner, config: ProtocolConfig,
 
     The jobs of each sample size are trained and scored together by the
     learner's ``score_many``: in one batched Newton solve for the logistic
-    learner, in one stack per training-set size for the MLP, one job at a
+    learner, in one stack per minibatch count for the MLP, one job at a
     time for the k-NN, and each distinct job once for a learner that
     ignores the seed (see the module docstring).  Records come out in plan
     order, one per job, all computed in the calling thread.

@@ -366,8 +366,11 @@ def _window_stack(energy, w, pools, sample_size, config, noise_rngs,
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.equilibration_epochs + m):
             if size > batch:
-                order = np.stack([pool[rng.permutation(size)]
-                                  for pool, rng in zip(pools, shuffle_rngs)])
+                # the swaps of rng.shuffle, applied to the pool, give
+                # pool[rng.permutation(size)] from the same draws
+                order = pools.copy()
+                for row, rng in zip(order, shuffle_rngs):
+                    rng.shuffle(row)
             else:
                 order = pools
             noise = np.stack([rng.standard_normal((len(starts), w.shape[1]))

@@ -173,8 +173,9 @@ def mlp_alone(X, y, W1, b1, W2, b2, perms, lr_max, momentum, batch):
     """One fit as a stack of one job, parameters updated in place:
     (loss, bad_epoch)."""
     loss, bad = kernels.mlp_sgd_stack(
-        X[None], y[None], W1[None], b1[None], W2[None], b2[None],
-        perms[:, None], perms.shape[0], lr_max, momentum, batch)
+        X[None], y[None], np.array([X.shape[0]]), W1[None], b1[None],
+        W2[None], b2[None], perms[:, None], perms.shape[0], lr_max, momentum,
+        batch)
     return float(loss[0]), int(bad[0])
 
 
@@ -553,12 +554,17 @@ class TestMlpKernel:
 
 
 def mlp_stack(problems):
-    """Stack equal-size mlp_problem draws into stacked kernel arguments."""
-    X = np.stack([pr[0] for pr in problems])
-    y = np.stack([pr[1] for pr in problems])
+    """Stack mlp_problem draws into stacked kernel arguments: X, y and the
+    orders padded with zeros to the longest, and the row counts."""
+    n_rows = np.array([pr[0].shape[0] for pr in problems])
+    X = np.zeros((len(problems), n_rows.max(), problems[0][0].shape[1]))
+    y = np.zeros(X.shape[:2], dtype=np.int64)
+    orders = np.zeros((problems[0][3].shape[0],) + X.shape[:2], dtype=np.int64)
+    for k, (Xk, yk, _, perms) in enumerate(problems):
+        X[k, :n_rows[k]], y[k, :n_rows[k]] = Xk, yk
+        orders[:, k, :n_rows[k]] = perms
     params = [np.stack([pr[2][i] for pr in problems]) for i in range(4)]
-    orders = np.stack([pr[3] for pr in problems], axis=1)
-    return X, y, params, orders
+    return X, y, n_rows, params, orders
 
 
 class TestMlpStack:
@@ -569,9 +575,9 @@ class TestMlpStack:
     """
 
     def check_jobs(self, problems, lr_max, batch):
-        X, y, params, orders = mlp_stack(problems)
-        loss, bad = kernels.mlp_sgd_stack(X, y, *params, orders, len(orders),
-                                          lr_max, 0.9, batch)
+        X, y, n_rows, params, orders = mlp_stack(problems)
+        loss, bad = kernels.mlp_sgd_stack(X, y, n_rows, *params, orders,
+                                          len(orders), lr_max, 0.9, batch)
         for k, (Xk, yk, pk, perms) in enumerate(problems):
             alone = tuple(a.copy() for a in pk)
             loss_k, bad_k = mlp_alone(Xk, yk, *alone, perms, lr_max, 0.9,
@@ -592,12 +598,38 @@ class TestMlpStack:
         _, bad = self.check_jobs(problems, 0.05, batch)
         assert list(bad) == [-1] * 4
 
+    @pytest.mark.parametrize("sizes", [(17, 18), (17, 17, 18, 18), (18, 17, 18)])
+    def test_ragged_stack_matches_each_job_alone(self, sizes):
+        # 17 and 18 rows at batch 8 both take 3 minibatches, the last of 1
+        # and of 2 rows; each run of equal sizes writes its own gradients
+        problems = [mlp_problem(seed=50 + k, n=n, m=3, epochs=4)
+                    for k, n in enumerate(sizes)]
+        _, bad = self.check_jobs(problems, 0.05, 8)
+        assert list(bad) == [-1] * len(sizes)
+
+    def test_non_finite_job_in_ragged_stack_stops_alone(self):
+        problems = [mlp_problem(seed=s, n=n, epochs=6)
+                    for s, n in ((60, 17), (61, 17), (62, 18))]
+        problems[1][0][:] *= 1e50
+        with np.errstate(all="ignore"):
+            loss, bad = self.check_jobs(problems, 0.5, 8)
+        assert bad[0] == bad[2] == -1
+        assert bad[1] >= 1 and not np.isfinite(loss[1])
+        assert np.all(np.isfinite(loss[[0, 2]]))
+
+    def test_rejects_row_counts_with_other_minibatch_counts(self):
+        problems = [mlp_problem(seed=s, n=n) for s, n in ((70, 16), (71, 17))]
+        X, y, n_rows, params, orders = mlp_stack(problems)
+        with pytest.raises(InvalidArgument):
+            kernels.mlp_sgd_stack(X, y, n_rows, *params, orders, len(orders),
+                                  0.05, 0.9, 8)
+
     def test_jobs_match_scalar_reference(self):
         # the tolerances of TestMlpKernel.test_variants_agree_to_rounding
         problems = [mlp_problem(seed=s, m=3) for s in (20, 21, 22)]
-        X, y, params, orders = mlp_stack(problems)
-        loss, bad = kernels.mlp_sgd_stack(X, y, *params, orders, len(orders),
-                                          0.05, 0.9, 8)
+        X, y, n_rows, params, orders = mlp_stack(problems)
+        loss, bad = kernels.mlp_sgd_stack(X, y, n_rows, *params, orders,
+                                          len(orders), 0.05, 0.9, 8)
         for k, (Xk, yk, pk, perms) in enumerate(problems):
             ref = tuple(a.copy() for a in pk)
             loss_ref, bad_ref = _reference_mlp_sgd(Xk, yk, *ref, perms, 0.05,
@@ -625,7 +657,7 @@ class TestMlpStack:
         problems = [mlp_problem(seed=s, n=24, epochs=8) for s in (30, 31, 32)]
         for (Xk, *_), scale in zip(problems, (1e50, 1e30, 1e20)):
             Xk *= scale
-        X, y, params, orders = mlp_stack(problems)
+        X, y, n_rows, params, orders = mlp_stack(problems)
         drawn = []
 
         def counted():
@@ -634,8 +666,9 @@ class TestMlpStack:
                 yield order
 
         with np.errstate(all="ignore"):
-            loss, bad = kernels.mlp_sgd_stack(X, y, *params, counted(),
-                                              len(orders), 0.5, 0.9, 8)
+            loss, bad = kernels.mlp_sgd_stack(X, y, n_rows, *params,
+                                              counted(), len(orders), 0.5,
+                                              0.9, 8)
         assert list(bad) == [1, 1, 2]
         assert len(drawn) == 3
         assert not np.isfinite(loss).any()
@@ -643,8 +676,9 @@ class TestMlpStack:
     def test_stops_after_epochs(self):
         # orders may yield more epochs than asked for
         problems = [mlp_problem(seed=s, epochs=5) for s in (40, 41)]
-        X, y, params, orders = mlp_stack(problems)
-        loss, _ = kernels.mlp_sgd_stack(X, y, *params, orders, 2, 0.05, 0.9, 8)
+        X, y, n_rows, params, orders = mlp_stack(problems)
+        loss, _ = kernels.mlp_sgd_stack(X, y, n_rows, *params, orders, 2, 0.05,
+                                        0.9, 8)
         for k, (Xk, yk, pk, perms) in enumerate(problems):
             alone = tuple(a.copy() for a in pk)
             assert mlp_alone(Xk, yk, *alone, perms[:2], 0.05, 0.9,

@@ -463,8 +463,8 @@ class TestMlp:
         rng = np.random.default_rng(seed + 1)
         orders = (rng.permutation(rows.size)[None] for _ in range(epochs))
         loss, bad = kernels.mlp_sgd_stack(
-            ds.inputs[rows][None], ds.labels[rows][None], *params, orders,
-            epochs, 0.2, 0.9, 16)
+            ds.inputs[rows][None], ds.labels[rows][None], np.array([rows.size]),
+            *params, orders, epochs, 0.2, 0.9, 16)
         assert bad[0] == -1
         assert model.final_loss == loss[0]
         for fitted, fed in zip(model.params, params):
@@ -578,7 +578,7 @@ class TestLogisticFitMany:
 class TestMlpFitMany:
     """The stacked fit against one ``fit`` per job, bitwise.
 
-    Each part of a group with one training-set size trains as one stack, and
+    Each part of a group with one minibatch count trains as one stack, and
     every job of a stack keeps its own init, shuffles and schedule.
     """
 
@@ -595,6 +595,26 @@ class TestMlpFitMany:
         assert {job.train_rows.size for job in jobs} == {18, 19}
         models = learner.fit_many(ds, jobs)
         assert len(models) == len(jobs)
+        for job, model in zip(jobs, models):
+            self.assert_same_model(model, learner.fit(ds, job.train_rows, job.seed))
+
+    def test_minibatch_counts_split_a_group(self, monkeypatch):
+        # 64 rows take one minibatch at batch 64 and 65 take two, so the
+        # group trains as two stacks; 65 and 66 would share one
+        calls = []
+
+        def counted(X, y, n_rows, *args, _kernel=kernels.mlp_sgd_stack):
+            calls.append(list(n_rows))
+            return _kernel(X, y, n_rows, *args)
+
+        ds = gen_synthetic(SyntheticConfig(d=3, kappa=0.5, m_classes=3, seed=4), 80)
+        learner = mlp_learner(hidden=3, epochs=3, lr_max=0.2, batch=64)
+        jobs = [Job(80, 0, f, 0, f, np.arange(f, f + n), np.array([79]))
+                for f, n in enumerate((65, 64, 66, 64))]
+        monkeypatch.setattr(kernels, "mlp_sgd_stack", counted)
+        models = learner.fit_many(ds, jobs)
+        assert calls == [[64, 64], [65, 66]]
+        monkeypatch.undo()
         for job, model in zip(jobs, models):
             self.assert_same_model(model, learner.fit(ds, job.train_rows, job.seed))
 
